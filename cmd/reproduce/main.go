@@ -43,9 +43,6 @@ func main() {
 
 		cohCheck = flag.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")
 
-		snapshot  = flag.String("snapshot", "auto", "warm-state snapshot/fork reuse across legs: auto | on | off (results are identical in every mode)")
-		snapCheck = flag.Bool("snapshot-check", false, "cross-run every snapshot-forked leg from cold and fail on any counter divergence (debug; slow)")
-
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this path at exit")
 
@@ -95,17 +92,6 @@ func main() {
 	}
 	opts.Jobs = *jobs
 	opts.CoherenceCheck = *cohCheck
-	switch *snapshot {
-	case "auto":
-		opts.Snapshot = harness.SnapshotAuto
-	case "on":
-		opts.Snapshot = harness.SnapshotOn
-	case "off":
-		opts.Snapshot = harness.SnapshotOff
-	default:
-		fatal(fmt.Errorf("-snapshot must be auto, on, or off (got %q)", *snapshot))
-	}
-	opts.SnapshotCheck = *snapCheck
 	var account *harness.ResourceAccount
 	if *resources != "" {
 		account = &harness.ResourceAccount{}
@@ -341,8 +327,6 @@ func matrix(opts timecache.ExperimentOptions, out string) error {
 		Jobs:           opts.Jobs,
 		Ctx:            opts.Ctx,
 		Account:        opts.Account,
-		Snapshot:       opts.Snapshot,
-		SnapshotCheck:  opts.SnapshotCheck,
 	})
 	if err != nil {
 		return err

@@ -48,15 +48,6 @@ type ExperimentOptions struct {
 	// result JSON, so a CLI run and an HTTP job can be compared number for
 	// number (cmd/reproduce -resources writes the snapshot).
 	Account *harness.ResourceAccount
-	// Snapshot selects whether legs may reuse warm machine state through
-	// snapshot/fork (harness.SnapshotAuto, the zero value, shelves and
-	// reuses; SnapshotOn measures every shape on a fork; SnapshotOff runs
-	// every leg cold). Results are identical in every mode.
-	Snapshot harness.SnapshotMode
-	// SnapshotCheck cross-runs every snapshot-forked leg from cold and
-	// errors on any divergence (debug mode, in the spirit of
-	// CoherenceCheck).
-	SnapshotCheck bool
 }
 
 func (o ExperimentOptions) harness() harness.Options {
@@ -71,8 +62,6 @@ func (o ExperimentOptions) harness() harness.Options {
 		Progress:       o.Progress,
 		Ctx:            o.Ctx,
 		Account:        o.Account,
-		Snapshot:       o.Snapshot,
-		SnapshotCheck:  o.SnapshotCheck,
 	}
 }
 

@@ -126,8 +126,6 @@ func (v *occupancyVictim) Step(env sim.Env) bool {
 	return true
 }
 
-func (v *occupancyVictim) ForkProc() sim.Proc { c := *v; return &c }
-
 // occupancySweeper warms its buffer in window [0, P), then times one full
 // sweep per window [(2r+2)P, (2r+3)P).
 type occupancySweeper struct {
@@ -162,11 +160,4 @@ func (a *occupancySweeper) Step(env sim.Env) bool {
 	a.round++
 	sleepUntil(env, uint64(2*a.round+2)*a.period)
 	return true
-}
-
-func (a *occupancySweeper) ForkProc() sim.Proc {
-	c := *a
-	c.buf = append([]uint64(nil), a.buf...)
-	c.lat = append([]uint64(nil), a.lat...)
-	return &c
 }

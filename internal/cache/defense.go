@@ -29,10 +29,6 @@ type Defense interface {
 	// Reset returns the defense to its freshly constructed state; pooled
 	// machine reuse depends on reset-equals-fresh.
 	Reset()
-	// CopyFrom deep-copies src's state (snapshot/fork support). It must
-	// panic if src is a different concrete defense: a snapshot that cannot
-	// carry its defense state must refuse rather than silently drop it.
-	CopyFrom(src Defense)
 	// Stats returns a snapshot of the defense's own counters.
 	Stats() DefenseStats
 }

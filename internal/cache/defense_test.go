@@ -6,11 +6,10 @@ import "testing"
 // invocations and charges a fixed switch cost, touching nothing else.
 type nopDefense struct{ stats DefenseStats }
 
-func (d *nopDefense) Name() string         { return "nop" }
-func (d *nopDefense) OnAccess(r *Request)  { d.stats.Checks++ }
-func (d *nopDefense) Reset()               { d.stats = DefenseStats{Name: "nop"} }
-func (d *nopDefense) Stats() DefenseStats  { return d.stats }
-func (d *nopDefense) CopyFrom(src Defense) { d.stats = src.(*nopDefense).stats }
+func (d *nopDefense) Name() string        { return "nop" }
+func (d *nopDefense) OnAccess(r *Request) { d.stats.Checks++ }
+func (d *nopDefense) Reset()              { d.stats = DefenseStats{Name: "nop"} }
+func (d *nopDefense) Stats() DefenseStats { return d.stats }
 func (d *nopDefense) OnSwitch(core, outPID, inPID int, now uint64) uint64 {
 	d.stats.SwitchCycles += 7
 	return 7

@@ -4,9 +4,10 @@
 // job service's wall timestamps historically were not, which made every
 // timeout and drain test a race against real time. WallClock is the
 // injectable seam: production code uses Real, tests use a Fake whose Advance
-// fires timers deterministically. Server code must not call time.Now or
-// time.AfterFunc directly — the discipline the simulation side has always
-// had, extended to the daemon.
+// fires timers deterministically. Code under internal/ must not call
+// time.Now or time.AfterFunc directly — the discipline the simulation side
+// has always had, extended to the daemon. TestNoDirectWallClock enforces it
+// for time.Now and time.Since.
 package clock
 
 import (

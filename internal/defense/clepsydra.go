@@ -85,17 +85,4 @@ func (d *clepsydraDefense) Reset() {
 	d.stats = cache.DefenseStats{Name: Clepsydra}
 }
 
-func (d *clepsydraDefense) CopyFrom(src cache.Defense) {
-	s, ok := src.(*clepsydraDefense)
-	if !ok {
-		panic("defense: clepsydra CopyFrom from a different defense kind")
-	}
-	clear(d.deadline)
-	for k, v := range s.deadline {
-		d.deadline[k] = v
-	}
-	d.nonce = s.nonce
-	d.stats = s.stats
-}
-
 func (d *clepsydraDefense) Stats() cache.DefenseStats { return d.stats }

@@ -207,43 +207,3 @@ func TestDefenseResetDeterminism(t *testing.T) {
 		})
 	}
 }
-
-// TestDefenseCopyFrom: CopyFrom deep-copies (later mutations of the source
-// do not leak into the copy) and panics across kinds — a snapshot that
-// cannot carry its defense state must refuse, not silently drop it.
-func TestDefenseCopyFrom(t *testing.T) {
-	for _, kind := range []string{Clepsydra, FASE} {
-		t.Run(kind, func(t *testing.T) {
-			h := cache.NewHierarchy(cache.DefaultHierarchyConfig())
-			src := NewRuntime(kind, h)
-			h.SetDefense(src)
-			h.DefenseSwitch(0, 0, 3, 1)
-			for i := 0; i < 8; i++ {
-				h.Access(uint64(10+i*50), 0, uint64(0x1000+i*cache.LineSize), cache.Load)
-			}
-			want := src.Stats()
-
-			h2 := cache.NewHierarchy(cache.DefaultHierarchyConfig())
-			dst := NewRuntime(kind, h2)
-			dst.CopyFrom(src)
-			if got := dst.Stats(); got != want {
-				t.Fatalf("copied stats = %+v, want %+v", got, want)
-			}
-			// Mutating the source afterwards must not move the copy.
-			h.Access(5000, 0, 0xFF000, cache.Load)
-			h.DefenseSwitch(0, 3, 4, 6000)
-			if got := dst.Stats(); got != want {
-				t.Fatalf("copy shares state with source: %+v != %+v", got, want)
-			}
-		})
-	}
-	h := cache.NewHierarchy(cache.DefaultHierarchyConfig())
-	c := NewRuntime(Clepsydra, h)
-	f := NewRuntime(FASE, h)
-	defer func() {
-		if recover() == nil {
-			t.Error("CopyFrom across defense kinds did not panic")
-		}
-	}()
-	c.CopyFrom(f)
-}

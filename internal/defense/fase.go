@@ -81,17 +81,4 @@ func (d *faseDefense) Reset() {
 	d.stats = cache.DefenseStats{Name: FASE}
 }
 
-func (d *faseDefense) CopyFrom(src cache.Defense) {
-	s, ok := src.(*faseDefense)
-	if !ok {
-		panic("defense: fase CopyFrom from a different defense kind")
-	}
-	copy(d.cur, s.cur)
-	clear(d.owner)
-	for k, v := range s.owner {
-		d.owner[k] = v
-	}
-	d.stats = s.stats
-}
-
 func (d *faseDefense) Stats() cache.DefenseStats { return d.stats }

@@ -181,12 +181,9 @@ func (j Job) Fingerprint() string {
 // slice override — with defaults resolved, so an unset field and its
 // explicit default tag identically. Result-invariant options are excluded:
 // Jobs (the golden tests prove -j1 and -j8 are byte-identical), Progress,
-// Ctx, Pool, Spans, Now, Account, Telemetry, CoherenceCheck (a debug
-// cross-check that fails loudly rather than changing results), and
-// Snapshot/SnapshotCheck (the golden forced-on/off tests prove snapshot
-// forking is result-invariant, and SnapshotCheck fails loudly like
-// CoherenceCheck). The job service folds this into its result-cache key
-// alongside Fingerprint.
+// Ctx, Pool, Spans, Now, Account, Telemetry, and CoherenceCheck (a debug
+// cross-check that fails loudly rather than changing results). The job
+// service folds this into its result-cache key alongside Fingerprint.
 func (o Options) FidelityTag() string {
 	o = o.withDefaults()
 	return fmt.Sprintf("timecache-fidelity/%d:i%d:w%d:l%d:g%t:s%d",

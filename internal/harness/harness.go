@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"timecache/internal/cache"
+	"timecache/internal/clock"
 	"timecache/internal/core"
 	"timecache/internal/defense"
 	"timecache/internal/kernel"
@@ -78,40 +79,7 @@ type Options struct {
 	// context switches, s-bit delayed loads). Adds are atomic, so one
 	// account serves a parallel sweep. Nil costs the run one comparison.
 	Account *ResourceAccount
-	// Snapshot selects whether legs may reuse warm machine state through
-	// the pool's snapshot shelf (see SnapshotMode). Results are identical
-	// in every mode — the golden forced-on/off tests and SnapshotCheck
-	// enforce it — only the work to produce them changes. The zero value
-	// is SnapshotAuto.
-	Snapshot SnapshotMode
-	// SnapshotCheck cross-runs every snapshot-forked leg from cold and
-	// errors on any counter divergence, in the spirit of CoherenceCheck: a
-	// debug mode that fails loudly instead of changing results. It forces
-	// Snapshot on (except under SnapshotOff) so the fork path is actually
-	// exercised.
-	SnapshotCheck bool
 }
-
-// SnapshotMode controls warm-state snapshot/fork reuse across legs.
-type SnapshotMode int
-
-const (
-	// SnapshotAuto (the default) shelves a snapshot at each leg's warm
-	// point and forks any later leg whose warmup prefix — machine Config,
-	// workload spawn recipe, and instruction budgets — matches a shelved
-	// key. Legs with no match run exactly as before (the snapshot capture
-	// is a pure bystander: the run continues in place). Repeated
-	// same-shape legs — job-service jobs sharing legs, repeated pairs —
-	// skip their warmup entirely.
-	SnapshotAuto SnapshotMode = iota
-	// SnapshotOn additionally measures the first leg of each shape on a
-	// fork of its own warm snapshot (instead of continuing in place), so
-	// every measured leg exercises the fork path. Used by the golden
-	// equality tests and -snapshot-check.
-	SnapshotOn
-	// SnapshotOff disables snapshotting entirely: every leg runs cold.
-	SnapshotOff
-)
 
 // pool builds the runner options for this configuration.
 func (o Options) pool() runner.Options {
@@ -156,12 +124,12 @@ func finishTelemetry(col *telemetry.Collector) error {
 	return col.Finish()
 }
 
-// wallNow reads the injected wall clock (time.Now when unset).
+// wallNow reads the injected wall clock (clock.Real when unset).
 func (o Options) wallNow() time.Time {
 	if o.Now != nil {
 		return o.Now()
 	}
-	return time.Now()
+	return clock.Real{}.Now()
 }
 
 // legStart stamps the beginning of one machine run when spans are on. The
@@ -313,29 +281,12 @@ func frameBudget(frames int) int {
 	return (frames + bucket - 1) / bucket * bucket
 }
 
-// snapKey identifies a shared warmup prefix on the pool's snapshot shelf.
-// Two legs share warm state exactly when the full machine Config, the
-// workload spawn recipe (kind + profile names + seeds are fixed per kind),
-// and the instruction budgets all match — mode, LLC size, slice length,
-// partitioning, and flush policy are all part of machine.Config, so
-// distinct sweep legs can never alias.
-type snapKey struct {
-	cfg    machine.Config
-	kind   string // "spec" (two processes, one core) or "parsec" (2 threads, 2 cores)
-	a, b   string
-	warmup uint64
-	total  uint64
-}
-
 // leg describes one machine run: how to build its machine, how to populate
-// it, and how to label its outputs. runLeg executes it cold, from a
-// snapshot fork, or cold-with-capture depending on Options.Snapshot.
+// it, and how to label its outputs.
 type leg struct {
 	label string         // span name and error-message subject, e.g. "2Xlbm/timecache"
 	mcfg  machine.Config // machine shape (includes mode and overrides)
-	key   snapKey        // warmup-prefix identity on the snapshot shelf
-	// attach, when non-nil, attaches telemetry to the kernel (cold path
-	// only; telemetry disables snapshotting).
+	// attach, when non-nil, attaches telemetry to the kernel.
 	attach func(*kernel.Kernel) *telemetry.Collector
 	// spawn installs the leg's processes with their warmup set and OnWarm
 	// wired to onWarm, returning how many processes must warm before the
@@ -343,30 +294,10 @@ type leg struct {
 	spawn func(k *kernel.Kernel, onWarm func()) (int, error)
 }
 
-// runLeg runs one leg and returns its steady-state measurement, routing
-// through the snapshot shelf per opts.Snapshot. Telemetry runs always take
-// the cold path: a collector observes the whole run, warmup included, so a
-// forked run would change its outputs.
+// runLeg runs one leg on a pooled machine and returns its steady-state
+// measurement: the counters at the end of the run minus those at the warm
+// point.
 func runLeg(pool *machine.Pool, opts Options, l leg) (measurement, error) {
-	mode := opts.Snapshot
-	if opts.SnapshotCheck && mode != SnapshotOff {
-		mode = SnapshotOn
-	}
-	if opts.Telemetry != nil {
-		mode = SnapshotOff
-	}
-	if mode == SnapshotOff {
-		return runLegCold(pool, opts, l)
-	}
-	if s := pool.Snapshot(l.key); s != nil {
-		return runLegFork(pool, opts, l, s)
-	}
-	return runLegCapture(pool, opts, l, mode)
-}
-
-// runLegCold is the pre-snapshot behavior: pooled machine, full run, warm
-// subtraction.
-func runLegCold(pool *machine.Pool, opts Options, l leg) (measurement, error) {
 	legStart := opts.legStart()
 	m := pool.Get(l.mcfg)
 	defer pool.Put(m)
@@ -405,105 +336,6 @@ func runLegCold(pool *machine.Pool, opts Options, l leg) (measurement, error) {
 	return snapCounters(k).sub(warm), nil
 }
 
-// runLegCapture is the shelf-miss path: run from cold, pause at the warm
-// point (Interrupt stops Run between scheduler steps within a poll stride),
-// shelve a snapshot for later same-key legs, then either resume in place
-// (SnapshotAuto — the pause and capture are invisible to the simulation) or
-// measure on a fork of the snapshot just taken (SnapshotOn).
-func runLegCapture(pool *machine.Pool, opts Options, l leg, mode SnapshotMode) (measurement, error) {
-	legStart := opts.legStart()
-	m := pool.Get(l.mcfg)
-	defer pool.Put(m)
-	k := m.Kernel()
-	var warm measurement
-	warmed, targets := 0, -1
-	onWarm := func() {
-		warmed++
-		if warmed == targets {
-			warm = snapCounters(k)
-			k.Interrupt()
-		}
-	}
-	n, err := l.spawn(k, onWarm)
-	if err != nil {
-		return measurement{}, err
-	}
-	targets = n
-	k.RunCtx(opts.ctx(), 1<<62)
-	if err := opts.ctx().Err(); err != nil {
-		return measurement{}, err
-	}
-	var snap *machine.Snapshot
-	if warmed == targets && !k.AllExited() {
-		// A process that cannot be snapshotted (no sim.Forker) just skips
-		// the shelf; the leg still measures normally.
-		if s, err := m.Snapshot(); err == nil {
-			s.Tag = warm
-			pool.PutSnapshot(l.key, s)
-			snap = s
-		}
-	}
-	k.ClearInterrupt()
-	if mode == SnapshotOn && snap != nil {
-		// The warm machine goes back to the pool mid-run (the deferred
-		// Put; forking resets nothing it does not overwrite) and the
-		// measurement happens on a fork, exercising the exact path a
-		// shelf hit takes.
-		return runLegFork(pool, opts, l, snap)
-	}
-	k.RunCtx(opts.ctx(), 1<<62)
-	if err := opts.ctx().Err(); err != nil {
-		return measurement{}, err
-	}
-	if !k.AllExited() {
-		return measurement{}, fmt.Errorf("harness: %s did not finish", l.label)
-	}
-	if warmed != targets {
-		return measurement{}, fmt.Errorf("harness: %s never reached steady state", l.label)
-	}
-	opts.finishLeg(l.label, legStart, k)
-	return snapCounters(k).sub(warm), nil
-}
-
-// runLegFork is the shelf-hit path: fork the snapshot into a pooled machine
-// and run only the measured remainder. Under SnapshotCheck the same leg is
-// re-run cold and the two measurements must agree exactly.
-func runLegFork(pool *machine.Pool, opts Options, l leg, s *machine.Snapshot) (measurement, error) {
-	warm, ok := s.Tag.(measurement)
-	if !ok {
-		return measurement{}, fmt.Errorf("harness: snapshot for %s carries no warm measurement", l.label)
-	}
-	legStart := opts.legStart()
-	m := pool.Fork(s)
-	defer pool.Put(m)
-	k := m.Kernel()
-	k.RunCtx(opts.ctx(), 1<<62)
-	if err := opts.ctx().Err(); err != nil {
-		return measurement{}, err
-	}
-	if !k.AllExited() {
-		return measurement{}, fmt.Errorf("harness: %s did not finish", l.label)
-	}
-	opts.finishLeg(l.label, legStart, k)
-	got := snapCounters(k).sub(warm)
-	if opts.SnapshotCheck {
-		cold := opts
-		cold.Snapshot = SnapshotOff
-		cold.SnapshotCheck = false
-		cold.Telemetry = nil
-		cold.Spans = nil
-		cold.Account = nil
-		ref, err := runLegCold(pool, cold, l)
-		if err != nil {
-			return measurement{}, fmt.Errorf("harness: snapshot-check cold rerun of %s: %w", l.label, err)
-		}
-		if ref != got {
-			return measurement{}, fmt.Errorf("harness: snapshot-check divergence on %s: forked %+v != cold %+v", l.label, got, ref)
-		}
-	}
-	return got, nil
-}
-
 // specLeg builds the leg for one Fig. 7 workload (two processes, one core)
 // under the given mode. labelSuffix names the leg's span/error label
 // ("<pair>/<suffix>"); it is the mode name for the paired runs and the
@@ -522,7 +354,6 @@ func specLeg(pair workload.Pair, mcfg machine.Config, labelSuffix string, opts O
 	return leg{
 		label:  pair.Label + "/" + labelSuffix,
 		mcfg:   mcfg,
-		key:    snapKey{cfg: mcfg, kind: "spec", a: pair.A, b: pair.B, warmup: opts.WarmupInstrs, total: total},
 		attach: attach,
 		spawn: func(k *kernel.Kernel, onWarm func()) (int, error) {
 			_, procA, err := workload.Spawn(k, pa, workload.SpawnOptions{Instrs: total, Seed: 1001})
@@ -610,8 +441,7 @@ func result(label string, mb, mt measurement) PairResult {
 }
 
 // RunSpecPair measures one Fig. 7 / Table II row: the same pair under the
-// baseline and under TimeCache. Machines come from Options.Pool when set
-// (which also enables warm-snapshot reuse across repeated calls).
+// baseline and under TimeCache. Machines come from Options.Pool when set.
 func RunSpecPair(pair workload.Pair, opts Options) (PairResult, error) {
 	return runSpecPair(opts.Pool, pair, opts)
 }
@@ -661,7 +491,6 @@ func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Opt
 	l := leg{
 		label: name + "/" + mode.String(),
 		mcfg:  mcfg,
-		key:   snapKey{cfg: mcfg, kind: "parsec", a: name, warmup: opts.WarmupInstrs, total: total},
 		attach: func(k *kernel.Kernel) *telemetry.Collector {
 			return opts.attachTelemetry(k, name, mode)
 		},
@@ -684,7 +513,7 @@ func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Opt
 }
 
 // RunParsec measures one Fig. 9 row. Machines come from Options.Pool when
-// set (which also enables warm-snapshot reuse across repeated calls).
+// set.
 func RunParsec(name string, opts Options) (PairResult, error) {
 	return runParsec(opts.Pool, name, opts)
 }

@@ -169,9 +169,15 @@ func TestGateLevelMatchesFastPath(t *testing.T) {
 	}
 }
 
-// TestSnapshotShelfReuse pins the SnapshotAuto win: two identical legs on
-// one shared pool produce identical results, and the second is served from
-// the snapshot shelf (one shelf hit) instead of re-running its warmup.
+// The tests below pin what the removed snapshot shelf used to be checked
+// against and still holds (DESIGN.md §13 explains why there is no
+// snapshot/fork): every leg runs cold on a fresh or reset machine, so where
+// its machine comes from, and whether telemetry watches it, never changes a
+// result, and the pool's snapshot counters stay 0.
+
+// TestSnapshotShelfReuse: two identical legs on one shared pool produce
+// identical results; the second runs on the machines the first put back,
+// and nothing is served from a snapshot shelf.
 func TestSnapshotShelfReuse(t *testing.T) {
 	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
 	pool := machine.NewPool()
@@ -182,69 +188,81 @@ func TestSnapshotShelfReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := pool.Stats()
-	if s.SnapshotHits != 0 {
-		t.Fatalf("first run already hit the shelf: %+v", s)
-	}
 	second, err := RunSpecPair(pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != second {
-		t.Fatalf("shelf-forked rerun diverged:\n first %+v\nsecond %+v", first, second)
+		t.Fatalf("rerun on reused machines diverged:\n first %+v\nsecond %+v", first, second)
 	}
-	s = pool.Stats()
-	// The second run's two legs (baseline, timecache) both fork.
-	if s.SnapshotHits != 2 {
-		t.Fatalf("snapshot hits = %d, want 2 (both modes forked)", s.SnapshotHits)
+	s := pool.Stats()
+	// The second run's two legs (baseline, timecache) both reuse a machine.
+	if s.Hits != 2 {
+		t.Fatalf("pool hits = %d, want 2 (both legs reused a machine): %+v", s.Hits, s)
+	}
+	if s.SnapshotHits != 0 || s.SnapshotMisses != 0 {
+		t.Fatalf("snapshot counters moved: %+v", s)
 	}
 }
 
-// TestSnapshotModesAgree runs one pair under every snapshot mode and with
-// the cold cross-check enabled: all four results must be identical.
-func TestSnapshotModesAgree(t *testing.T) {
+// TestMachineSourcesAgree runs one pair on every machine source a leg can
+// have — private fresh machines, an empty shared pool, the same pool again
+// with dirty machines in it, and a parallel sweep — and requires identical
+// results.
+func TestMachineSourcesAgree(t *testing.T) {
 	pair := workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}
 	base := smallOpts()
 
 	var results []PairResult
-	for _, mode := range []SnapshotMode{SnapshotOff, SnapshotAuto, SnapshotOn} {
-		opts := base
-		opts.Snapshot = mode
+	run := func(opts Options) {
+		t.Helper()
 		r, err := RunSpecPair(pair, opts)
 		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
+			t.Fatal(err)
 		}
 		results = append(results, r)
 	}
-	check := base
-	check.SnapshotCheck = true
-	r, err := RunSpecPair(pair, check)
+	run(base)
+	shared := base
+	shared.Pool = machine.NewPool()
+	run(shared)
+	run(shared)
+	par := base
+	par.Jobs = 2
+	rows, err := RunSpecPairs([]workload.Pair{pair, pair}, par)
 	if err != nil {
-		t.Fatalf("snapshot-check: %v", err)
+		t.Fatal(err)
 	}
-	results = append(results, r)
+	results = append(results, rows...)
 	for i, got := range results[1:] {
 		if got != results[0] {
-			t.Fatalf("result %d diverged from SnapshotOff:\n got %+v\nwant %+v", i+1, got, results[0])
+			t.Fatalf("result %d diverged from the private-machine run:\n got %+v\nwant %+v", i+1, got, results[0])
 		}
 	}
 }
 
 // TestSnapshotTelemetryForcesCold: a telemetry collector observes the whole
-// run including warmup, so telemetry legs must never fork (no shelf
-// activity) even under SnapshotOn.
+// run including warmup; attaching one must not change the result, and the
+// pool's snapshot counters stay 0.
 func TestSnapshotTelemetryForcesCold(t *testing.T) {
 	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
+	plain, err := RunSpecPair(pair, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool := machine.NewPool()
 	opts := smallOpts()
 	opts.Pool = pool
-	opts.Snapshot = SnapshotOn
 	opts.Telemetry = &telemetry.Config{}
 
-	if _, err := RunSpecPair(pair, opts); err != nil {
+	got, err := RunSpecPair(pair, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if got != plain {
+		t.Fatalf("telemetry run diverged:\n got %+v\nwant %+v", got, plain)
+	}
 	if s := pool.Stats(); s.SnapshotHits != 0 || s.SnapshotMisses != 0 {
-		t.Fatalf("telemetry run touched the snapshot shelf: %+v", s)
+		t.Fatalf("telemetry run moved the snapshot counters: %+v", s)
 	}
 }

@@ -31,7 +31,9 @@ func (k *Kernel) RunInline(p *Process, fn func(env sim.Env)) error {
 	c.prev = nil
 	prevState := p.State
 	p.State = Running
-	fn(&procEnv{k: k, cpu: c, proc: p})
+	c.env.proc = p
+	fn(&c.env)
+	c.env.proc = nil
 	if p.State == Running {
 		p.State = prevState
 	}

@@ -131,6 +131,18 @@ type coreState struct {
 	// reuses it, so the per-access path performs no allocation even though
 	// the hierarchy hands the request to observers through an interface.
 	req cache.Request
+	// env is the Env handed to the process on this CPU. Its proc is set
+	// when a process is scheduled in and cleared when it leaves, so the
+	// per-instruction path hands the Proc a long-lived pointer instead of
+	// allocating one per step.
+	env procEnv
+}
+
+// setCur puts p on the CPU (nil takes the current process off), pointing
+// the CPU's Env at it.
+func (c *coreState) setCur(p *Process) {
+	c.cur = p
+	c.env.proc = p
 }
 
 // Kernel owns the machine: physical memory, the cache hierarchy, cores, and
@@ -177,6 +189,7 @@ func New(cfg Config, hier *cache.Hierarchy, phys *mem.Physical) *Kernel {
 	ncpus := hier.Contexts()
 	for c := 0; c < ncpus; c++ {
 		cs := &coreState{id: c, ctx: c}
+		cs.env = procEnv{k: k, cpu: cs}
 		cs.secCaches = hier.SecCaches(c)
 		for _, cc := range cs.secCaches {
 			cs.secLineCounts = append(cs.secLineCounts, cc.Cache.Lines())
@@ -218,13 +231,19 @@ func (k *Kernel) Reset() {
 	k.phys.Reset()
 	k.probe = nil
 	k.Stats = Stats{}
+	// Clearing before truncating drops the references the backing arrays
+	// still hold, so a pooled machine does not keep the previous run's
+	// processes and address spaces alive.
+	clear(k.procs)
 	k.procs = k.procs[:0]
 	k.nextPID = 1
 	clear(k.regions)
 	for _, c := range k.cores {
 		c.clock = clock.Clock{}
+		clear(c.runq)
 		c.runq = c.runq[:0]
-		c.cur, c.prev = nil, nil
+		c.setCur(nil)
+		c.prev = nil
 		c.sliceEnd, c.sliceInstrs, c.runStart = 0, 0, 0
 	}
 	k.kernelText = k.kernelText[:0]
@@ -440,15 +459,19 @@ func (k *Kernel) schedule(c *coreState) bool {
 			return false
 		}
 	}
+	// Pop by shifting rather than reslicing, so the queue keeps its backing
+	// array and a preempted process re-queues without allocating.
 	next := c.runq[0]
-	c.runq = c.runq[1:]
+	n := copy(c.runq, c.runq[1:])
+	c.runq[n] = nil
+	c.runq = c.runq[:n]
 	out := c.prev
 	// Avoid charging a switch when the same single process continues.
 	if out != next {
 		k.contextSwitch(c, out, next)
 	}
 	c.prev = nil
-	c.cur = next
+	c.setCur(next)
 	next.State = Running
 	c.runStart = c.clock.Now()
 	c.sliceEnd = c.clock.Now() + k.cfg.SliceCycles
@@ -465,26 +488,13 @@ func (k *Kernel) wakeSleepers(c *coreState) {
 	}
 }
 
-// stepCurrent runs one instruction of the core's current process, handling
-// faults and termination. Returns whether the process remains current.
+// stepCurrent runs one instruction of the core's current process, then
+// takes the process off the core if it exited, went to sleep, or used up
+// its slice.
 func (k *Kernel) stepCurrent(c *coreState) {
 	p := c.cur
-	env := &procEnv{k: k, cpu: c, proc: p}
 	before := c.clock.Now()
-	alive := func() (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if pf, isFault := r.(*procFault); isFault {
-					p.Err = pf.err
-					p.State = Exited
-					ok = false
-					return
-				}
-				panic(r)
-			}
-		}()
-		return p.Proc.Step(env)
-	}()
+	alive := step(c, p)
 	p.Stats.CPUCycles += c.clock.Now() - before
 	if k.probe != nil {
 		k.probe.AfterStep(c.id, c.clock.Now())
@@ -498,12 +508,14 @@ func (k *Kernel) stepCurrent(c *coreState) {
 		k.endRunSpan(c, p)
 		// An exited process's caching context need not be saved; the next
 		// restore clears its hardware s-bits.
-		c.cur, c.prev = nil, nil
+		c.setCur(nil)
+		c.prev = nil
 		return
 	}
 	if p.State == Sleeping {
 		k.endRunSpan(c, p)
-		c.cur, c.prev = nil, p
+		c.setCur(nil)
+		c.prev = p
 		return
 	}
 	if c.clock.Now() >= c.sliceEnd {
@@ -512,8 +524,32 @@ func (k *Kernel) stepCurrent(c *coreState) {
 		k.endRunSpan(c, p)
 		p.State = Ready
 		c.runq = append(c.runq, p)
-		c.cur, c.prev = nil, p
+		c.setCur(nil)
+		c.prev = p
 	}
+}
+
+// step runs one Proc.Step of p against the CPU's Env. A procFault raised
+// inside the Env kills p alone (step reports it dead); any other panic
+// propagates.
+func step(c *coreState, p *Process) (alive bool) {
+	defer killOnFault(p, &alive)
+	return p.Proc.Step(&c.env)
+}
+
+// killOnFault is step's deferred fault handler.
+func killOnFault(p *Process, alive *bool) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	pf, isFault := r.(*procFault)
+	if !isFault {
+		panic(r)
+	}
+	p.Err = pf.err
+	p.State = Exited
+	*alive = false
 }
 
 // endRunSpan reports the on-core occupancy span ending now for p.

@@ -510,6 +510,38 @@ func TestRunInline(t *testing.T) {
 	}
 }
 
+// TestResetClearsCoreEnv: each CPU's Env points at the process on that CPU
+// only while it is there. It is cleared when the process leaves (here: by
+// exiting) and by Reset, so a pooled machine keeps no reference to the
+// previous run's processes and address spaces.
+func TestResetClearsCoreEnv(t *testing.T) {
+	k := newMachine(t, cache.SecTimeCache, 2)
+	spin := sim.ProcFunc(func(env sim.Env) bool { env.Tick(10); env.Instret(1); return true })
+	steps := 0
+	short := sim.ProcFunc(func(env sim.Env) bool { env.Tick(10); steps++; return steps < 100 })
+	var procs []*Process
+	for c, proc := range []sim.Proc{spin, short} {
+		p, err := k.Spawn("p", proc, NewAddressSpace(k.Physical()), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs = append(procs, p)
+	}
+	k.Run(50_000)
+	if c := k.cores[0]; c.cur != procs[0] || c.env.proc != procs[0] {
+		t.Fatalf("core 0 runs %v with Env on %v, want both on the spinning process", c.cur, c.env.proc)
+	}
+	if c := k.cores[1]; procs[1].State != Exited || c.cur != nil || c.env.proc != nil {
+		t.Fatalf("core 1 after its process exited: state %v, cur %v, Env on %v; want exited, nil, nil", procs[1].State, c.cur, c.env.proc)
+	}
+	k.Reset()
+	for _, c := range k.cores {
+		if c.env.proc != nil {
+			t.Fatalf("core %d Env still references process %d after Reset", c.id, c.env.proc.PID)
+		}
+	}
+}
+
 // TestRunCtxNoStaleInterrupt pins the RunCtx/AfterFunc synchronization:
 // when a context cancellation races with run completion, the interrupt
 // callback must have finished before RunCtx returns. Otherwise a pooled

@@ -130,37 +130,3 @@ func TestDefenseResetDeterminism(t *testing.T) {
 		})
 	}
 }
-
-// TestDefenseSnapshotForkDeterminism extends the snapshot contract to
-// runtime defenses: the TTL table / ownership map is deep-copied at capture,
-// so a fork of a warm snapshot finishes counter- and defense-counter-
-// identical to a cold run, and sibling forks do not share defense state.
-func TestDefenseSnapshotForkDeterminism(t *testing.T) {
-	const total, warmup = 20_000, 15_000
-	for _, kind := range []string{defense.Clepsydra, defense.FASE} {
-		t.Run(kind, func(t *testing.T) {
-			cfg := Config{Defense: kind, PhysFrames: 8192}
-			cold := New(cfg)
-			spawnPairWarm(t, cold, total, warmup, nil)
-			want := finishFingerprint(cold, cold.Kernel().Run(1<<62)) +
-				fmt.Sprintf(" def=%+v", cold.Hierarchy().DefenseStats())
-
-			snap, src := warmSnapshot(t, cfg, total, warmup)
-			finish := func(m *Machine) string {
-				return finishFingerprint(m, m.Kernel().Run(1<<62)) +
-					fmt.Sprintf(" def=%+v", m.Hierarchy().DefenseStats())
-			}
-			f1 := snap.Fork()
-			if got := finish(f1); got != want {
-				t.Fatalf("fork diverged from cold run:\n got %s\nwant %s", got, want)
-			}
-			f2 := snap.Fork()
-			if got := finish(f2); got != want {
-				t.Fatalf("second fork diverged (defense state shared between siblings?):\n got %s\nwant %s", got, want)
-			}
-			if got := finish(src); got != want {
-				t.Fatalf("snapshotted source diverged from cold run:\n got %s\nwant %s", got, want)
-			}
-		})
-	}
-}

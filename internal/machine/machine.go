@@ -45,9 +45,9 @@ type Config struct {
 	// "flush-on-switch", "clepsydra", "fase"), overriding Mode,
 	// Partitioned, and FlushOnSwitch, and installing the kind's runtime
 	// defense instance on the hierarchy when it has one. Because Config is
-	// comparable, the field participates in pool and snapshot-shelf keys
-	// automatically: machines with different defenses never alias. An
-	// unknown kind panics at assembly; validate at the job layer first.
+	// comparable, the field participates in pool keys automatically:
+	// machines with different defenses never alias. An unknown kind panics
+	// at assembly; validate at the job layer first.
 	Defense string
 	// Cores is the number of cores; zero keeps the default (1).
 	Cores int
@@ -181,9 +181,7 @@ func New(cfg Config) *Machine {
 	hier := cache.NewHierarchy(hcfg)
 	if cfg.Defense != "" {
 		// Defense kinds with runtime state (clepsydra, fase) get their
-		// instance here, once per machine: Reset resets it in place, and
-		// Snapshot/Fork build the destination through New so CopyFrom
-		// always finds a same-kind instance to deep-copy into.
+		// instance here, once per machine: Reset resets it in place.
 		if d := defense.NewRuntime(cfg.Defense, hier); d != nil {
 			hier.SetDefense(d)
 		}
@@ -234,18 +232,9 @@ type Pool struct {
 	machines map[Config][]*Machine
 	idleCap  int
 
-	// snaps shelves warm-state snapshots keyed by the caller's key (the
-	// harness keys on machine config + workload recipe), with FIFO
-	// eviction once snapCap keys are resident.
-	snaps     map[any]*Snapshot
-	snapOrder []any
-
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-
-	snapHits   atomic.Uint64
-	snapMisses atomic.Uint64
 }
 
 // DefaultIdleCap bounds each config's idle list. Sweeps check at most one
@@ -254,15 +243,14 @@ type Pool struct {
 // step) stop accumulating dead machines.
 const DefaultIdleCap = 8
 
-// defaultSnapCap bounds the snapshot shelf (distinct keys). Each snapshot
-// pins a frozen machine, so the shelf must not grow with sweep length.
-const defaultSnapCap = 16
-
 // PoolStats counts how Gets were served: a hit reuses a pooled machine
 // (Reset, ~23µs), a miss assembles a fresh one (~141µs). Evictions counts
-// idle machines dropped because their config's shelf was at IdleCap.
-// SnapshotHits/SnapshotMisses count snapshot-shelf lookups. The job service
-// reports the Get delta per job and the totals on /metrics.
+// idle machines dropped because their config's shelf was at IdleCap. The
+// job service reports the Get delta per job and the totals on /metrics.
+//
+// SnapshotHits and SnapshotMisses are always 0: the pool no longer shelves
+// warm-state snapshots. They are kept only because the perfbench benchmark
+// reads them.
 type PoolStats struct {
 	Hits           uint64 `json:"hits"`
 	Misses         uint64 `json:"misses"`
@@ -279,12 +267,10 @@ func (p *Pool) Stats() PoolStats {
 		return PoolStats{}
 	}
 	return PoolStats{
-		Hits:           p.hits.Load(),
-		Misses:         p.misses.Load(),
-		Evictions:      p.evictions.Load(),
-		IdleCap:        p.idleCap,
-		SnapshotHits:   p.snapHits.Load(),
-		SnapshotMisses: p.snapMisses.Load(),
+		Hits:      p.hits.Load(),
+		Misses:    p.misses.Load(),
+		Evictions: p.evictions.Load(),
+		IdleCap:   p.idleCap,
 	}
 }
 
@@ -293,7 +279,6 @@ func NewPool() *Pool {
 	return &Pool{
 		machines: map[Config][]*Machine{},
 		idleCap:  DefaultIdleCap,
-		snaps:    map[any]*Snapshot{},
 	}
 }
 

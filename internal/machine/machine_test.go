@@ -81,6 +81,20 @@ func TestKernelConfigMapping(t *testing.T) {
 // are equal iff the runs were cycle- and counter-identical.
 func runWorkloadPair(t testing.TB, m *Machine) string {
 	t.Helper()
+	spawnPair(t, m, 20_000)
+	k := m.Kernel()
+	cycles := k.Run(1 << 62)
+	fp := fmt.Sprintf("cycles=%d stats=%+v", cycles, k.Stats)
+	for _, c := range m.Hierarchy().Caches() {
+		fp += fmt.Sprintf(" %s=%+v", c.Name(), c.Stats)
+	}
+	return fp
+}
+
+// spawnPair installs the gobmk+lbm pair on core 0, each process retiring
+// instrs instructions.
+func spawnPair(t testing.TB, m *Machine, instrs uint64) {
+	t.Helper()
 	k := m.Kernel()
 	for i, name := range []string{"gobmk", "lbm"} {
 		prof, err := workload.Spec(name)
@@ -91,16 +105,40 @@ func runWorkloadPair(t testing.TB, m *Machine) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.Spawn(name, workload.NewProc(prof, 20_000, uint64(1001+i*1001)), as, 0); err != nil {
+		if _, err := k.Spawn(name, workload.NewProc(prof, instrs, uint64(1001+i*1001)), as, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cycles := k.Run(1 << 62)
-	fp := fmt.Sprintf("cycles=%d stats=%+v", cycles, k.Stats)
-	for _, c := range m.Hierarchy().Caches() {
-		fp += fmt.Sprintf(" %s=%+v", c.Name(), c.Stats)
+}
+
+// TestStepZeroAlloc pins the allocation-free simulation path: a leg on a
+// reset, pooled machine allocates for its set-up (address spaces, process
+// table, saved s-bit columns) but nothing per simulated instruction, so
+// doubling the instruction budget must not add a single allocation.
+func TestStepZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
 	}
-	return fp
+	pool := NewPool()
+	cfg := Config{Mode: cache.SecTimeCache, PhysFrames: 8192}
+	leg := func(instrs uint64) func() {
+		return func() {
+			m := pool.Get(cfg)
+			spawnPair(t, m, instrs)
+			k := m.Kernel()
+			k.Run(1 << 62)
+			if !k.AllExited() {
+				t.Fatal("leg did not finish")
+			}
+			pool.Put(m)
+		}
+	}
+	const n = 100_000
+	short := testing.AllocsPerRun(3, leg(n))
+	long := testing.AllocsPerRun(3, leg(2*n))
+	if long > short {
+		t.Fatalf("a %d-instruction leg allocates %v times, a %d-instruction leg %v: the step path allocates", 2*n, long, n, short)
+	}
 }
 
 // TestResetDeterminism is the core pooling contract: a machine that ran a
@@ -299,5 +337,21 @@ func TestPoolStats(t *testing.T) {
 	nilPool.Get(a)
 	if s := nilPool.Stats(); s != (PoolStats{}) {
 		t.Fatalf("nil pool stats = %+v, want zeros", s)
+	}
+}
+
+// TestPoolIdleCapEviction: Puts past the per-config cap drop the machine
+// and count an eviction.
+func TestPoolIdleCapEviction(t *testing.T) {
+	p := NewPool()
+	cfg := Config{Mode: cache.SecOff, PhysFrames: 8192}
+	for i := 0; i < DefaultIdleCap+3; i++ {
+		p.Put(New(cfg))
+	}
+	if got := p.Size(); got != DefaultIdleCap {
+		t.Fatalf("pool size = %d, want %d (cap)", got, DefaultIdleCap)
+	}
+	if s := p.Stats(); s.Evictions != 3 {
+		t.Fatalf("evictions = %d, want 3", s.Evictions)
 	}
 }

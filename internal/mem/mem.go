@@ -38,18 +38,10 @@ type Physical struct {
 	DRAMLatency uint64
 }
 
-// frameInfo is one frame's contents and bookkeeping. A shared frame's data
-// buffer is aliased by a machine snapshot (or by the snapshot's source) and
-// must never be written in place: every mutation goes through writable,
-// which swaps in a private buffer on first write (host-level copy-on-write).
-// This sharing is invisible to the simulation — frame numbers, refcounts,
-// and timing are untouched; only the Go-level backing buffers are shared.
-// The simulated COW (minor faults on AddressSpace.Translate) is a separate,
-// timing-visible mechanism and does not interact with this flag.
+// frameInfo is one frame's contents and bookkeeping.
 type frameInfo struct {
-	data   []byte
-	refs   int
-	shared bool
+	data []byte
+	refs int
 }
 
 // NewPhysical creates a physical memory with capacity frames and the given
@@ -69,16 +61,7 @@ func (p *Physical) Alloc() (Frame, error) {
 		fi := p.frames[f]
 		fi.refs = 1
 		p.live++
-		if fi.shared {
-			// The old buffer is still aliased by a snapshot; zeroing it in
-			// place would corrupt the frozen copy. Swap in a private one.
-			fi.data = make([]byte, PageSize)
-			fi.shared = false
-			return f, nil
-		}
-		for i := range fi.data {
-			fi.data[i] = 0
-		}
+		clear(fi.data)
 		return f, nil
 	}
 	if len(p.frames) >= p.capacity {
@@ -143,25 +126,9 @@ func (p *Physical) info(f Frame) *frameInfo {
 	return fi
 }
 
-// writable is the host-COW write barrier: it returns f's frameInfo with a
-// buffer that is private to this Physical, breaking buffer sharing with any
-// snapshot on the first store to a shared frame.
-func (p *Physical) writable(f Frame) *frameInfo {
-	fi := p.info(f)
-	if fi.shared {
-		data := make([]byte, PageSize)
-		copy(data, fi.data)
-		fi.data = data
-		fi.shared = false
-	}
-	return fi
-}
-
 // Page returns the contents of frame f. The returned slice aliases the
-// frame; callers must not hold it across a free. Callers write through the
-// returned slice (the kernel loader does), so Page counts as a store and
-// breaks host-COW sharing.
-func (p *Physical) Page(f Frame) []byte { return p.writable(f).data }
+// frame; callers must not hold it across a free.
+func (p *Physical) Page(f Frame) []byte { return p.info(f).data }
 
 // ReadU64 reads the 8-byte little-endian word at physical address pa.
 // Accesses must not cross a frame boundary.
@@ -179,7 +146,7 @@ func (p *Physical) WriteU64(pa uint64, v uint64) {
 	if off > PageSize-8 {
 		panic(fmt.Sprintf("mem: unaligned cross-page write at %#x", pa))
 	}
-	binary.LittleEndian.PutUint64(p.writable(FrameOf(pa)).data[off:], v)
+	binary.LittleEndian.PutUint64(p.info(FrameOf(pa)).data[off:], v)
 }
 
 // LoadByte reads the byte at physical address pa.
@@ -189,7 +156,7 @@ func (p *Physical) LoadByte(pa uint64) byte {
 
 // StoreByte writes the byte at physical address pa.
 func (p *Physical) StoreByte(pa uint64, v byte) {
-	p.writable(FrameOf(pa)).data[pa&(PageSize-1)] = v
+	p.info(FrameOf(pa)).data[pa&(PageSize-1)] = v
 }
 
 // CopyFrame duplicates src into a fresh frame (the COW break path) and
@@ -215,37 +182,4 @@ func (p *Physical) HashFrame(f Frame) uint64 {
 // confirm equality after a hash match before merging.
 func (p *Physical) SameContents(a, b Frame) bool {
 	return bytes.Equal(p.info(a).data, p.info(b).data)
-}
-
-// Seal marks every frame's buffer as shared, so the next store to any frame
-// copies the buffer first. A machine snapshot calls this on the live
-// machine immediately before aliasing its buffers into the frozen copy;
-// Seal itself is not concurrency-safe and must not race with forks.
-func (p *Physical) Seal() {
-	for _, fi := range p.frames {
-		fi.shared = true
-	}
-}
-
-// CopyFrom makes p an exact logical copy of src without copying any page
-// contents: every frame of p aliases src's buffer and is marked shared, so
-// the first store to a frame copies just that page (near-O(1) fork). src is
-// never mutated — src's own frames must already be sealed (snapshots are) —
-// so any number of CopyFrom calls may read one src concurrently.
-func (p *Physical) CopyFrom(src *Physical) {
-	if len(src.frames) > p.capacity {
-		panic(fmt.Sprintf("mem: CopyFrom source has %d frames, capacity %d", len(src.frames), p.capacity))
-	}
-	for len(p.frames) < len(src.frames) {
-		p.frames = append(p.frames, &frameInfo{})
-	}
-	p.frames = p.frames[:len(src.frames)]
-	for i, sf := range src.frames {
-		df := p.frames[i]
-		df.data = sf.data
-		df.refs = sf.refs
-		df.shared = true
-	}
-	p.free = append(p.free[:0], src.free...)
-	p.live = src.live
 }

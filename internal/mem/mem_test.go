@@ -145,124 +145,79 @@ func TestAllocatedCount(t *testing.T) {
 	}
 }
 
-// TestSealCopyFromIsolation pins the host-level COW contract: after Seal +
-// CopyFrom the two memories alias the same frame buffers, and the first
-// store on either side copies its frame privately — writes are never
-// visible across the aliasing, in either direction.
-func TestSealCopyFromIsolation(t *testing.T) {
-	src := NewPhysical(8, 200)
-	var fs []Frame
-	for i := 0; i < 4; i++ {
-		f, _ := src.Alloc()
-		src.WriteU64(f.Addr(), uint64(0xA0+i))
-		fs = append(fs, f)
-	}
-	src.Seal()
-	dst := NewPhysical(8, 200)
-	dst.CopyFrom(src)
-
-	if dst.Allocated() != src.Allocated() {
-		t.Fatalf("dst allocated = %d, want %d", dst.Allocated(), src.Allocated())
-	}
-	for i, f := range fs {
-		if got := dst.ReadU64(f.Addr()); got != uint64(0xA0+i) {
-			t.Fatalf("dst frame %d reads %#x, want %#x", f, got, 0xA0+i)
-		}
-	}
-
-	// A write in the fork must not reach the source...
-	dst.WriteU64(fs[0].Addr(), 0xDEAD)
-	if got := src.ReadU64(fs[0].Addr()); got != 0xA0 {
-		t.Fatalf("fork write leaked into source: src reads %#x", got)
-	}
-	// ...and a write in the (sealed, still running) source must not reach
-	// the fork.
-	src.StoreByte(fs[1].Addr(), 0xFF)
-	if got := dst.ReadU64(fs[1].Addr()); got != 0xA1 {
-		t.Fatalf("source write leaked into fork: dst reads %#x", got)
-	}
-	// Untouched frames still agree.
-	if src.ReadU64(fs[2].Addr()) != dst.ReadU64(fs[2].Addr()) {
-		t.Fatal("untouched frame diverged")
-	}
-}
-
-// TestCopyFromSiblingIsolation: two forks of one sealed source are isolated
-// from each other, not just from the source.
-func TestCopyFromSiblingIsolation(t *testing.T) {
-	src := NewPhysical(4, 200)
-	f, _ := src.Alloc()
-	src.WriteU64(f.Addr(), 42)
-	src.Seal()
-
-	a := NewPhysical(4, 200)
-	a.CopyFrom(src)
-	b := NewPhysical(4, 200)
-	b.CopyFrom(src)
-
-	a.WriteU64(f.Addr(), 1)
-	b.WriteU64(f.Addr(), 2)
-	if got := a.ReadU64(f.Addr()); got != 1 {
-		t.Fatalf("fork a reads %d, want 1", got)
-	}
-	if got := b.ReadU64(f.Addr()); got != 2 {
-		t.Fatalf("fork b reads %d, want 2", got)
-	}
-	if got := src.ReadU64(f.Addr()); got != 42 {
-		t.Fatalf("source reads %d, want 42", got)
-	}
-}
-
-// TestAllocReuseOfSharedFrame: a freed frame whose buffer is aliased by a
-// snapshot must come back from Alloc with a fresh zeroed buffer — zeroing in
-// place would corrupt the snapshot's view.
+// TestAllocReuseOfSharedFrame: a frame shared by two owners (Ref, as a
+// simulated copy-on-write mapping or a dedup merge shares one) keeps its
+// contents for the survivor when the other owner drops it, and Alloc does
+// not hand it out; only after the last Unref does it come back, zeroed.
+// (The name predates the removal of host-level snapshot sharing, DESIGN.md
+// §13; refcount sharing is the frame sharing that remains.)
 func TestAllocReuseOfSharedFrame(t *testing.T) {
-	src := NewPhysical(1, 200)
-	f, _ := src.Alloc()
-	src.WriteU64(f.Addr(), 7)
-	src.Seal()
-	snap := NewPhysical(1, 200)
-	snap.CopyFrom(src)
-
-	src.Unref(f) // frees the frame; its buffer is still aliased by snap
-	g, err := src.Alloc()
+	p := NewPhysical(2, 200)
+	f, _ := p.Alloc()
+	p.WriteU64(f.Addr(), 7)
+	p.Ref(f) // a second owner maps the frame
+	p.Unref(f)
+	if got := p.ReadU64(f.Addr()); got != 7 {
+		t.Fatalf("surviving owner reads %d, want 7", got)
+	}
+	g, err := p.Alloc()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g != f {
-		t.Fatalf("free-list reuse returned frame %d, want %d", g, f)
+	if g == f {
+		t.Fatal("Alloc handed out a frame that still has an owner")
 	}
-	for i, b := range src.Page(g) {
+	if got := p.ReadU64(f.Addr()); got != 7 {
+		t.Fatalf("shared frame corrupted by an unrelated Alloc: reads %d, want 7", got)
+	}
+
+	p.Unref(f) // last owner
+	h, err := p.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != f {
+		t.Fatalf("free-list reuse returned frame %d, want %d", h, f)
+	}
+	for i, b := range p.Page(h) {
 		if b != 0 {
 			t.Fatalf("reused frame byte %d = %d, want 0", i, b)
 		}
 	}
-	if got := snap.ReadU64(f.Addr()); got != 7 {
-		t.Fatalf("snapshot view corrupted by frame reuse: reads %d, want 7", got)
-	}
 }
 
-// TestCopyFromRewindsGrowth: restoring a small snapshot into a memory that
-// had grown past it must truncate the frame table so allocation order
-// replays identically.
+// TestCopyFromRewindsGrowth: a memory that grew and was then Reset must
+// replay a fresh memory's allocation order frame for frame and hand every
+// frame back zeroed, so a pooled machine allocates exactly as a new one.
+// (The name predates the removal of snapshot restore, DESIGN.md §13; Reset is
+// the rewind that remains.)
 func TestCopyFromRewindsGrowth(t *testing.T) {
-	src := NewPhysical(8, 200)
-	a, _ := src.Alloc()
-	src.WriteU64(a.Addr(), 11)
-	src.Seal()
-
-	dst := NewPhysical(8, 200)
+	used := NewPhysical(8, 200)
 	for i := 0; i < 5; i++ {
-		dst.Alloc()
+		f, _ := used.Alloc()
+		used.WriteU64(f.Addr(), uint64(11+i))
 	}
-	dst.CopyFrom(src)
-	if dst.Allocated() != 1 {
-		t.Fatalf("dst allocated = %d, want 1", dst.Allocated())
+	used.Reset()
+	if used.Allocated() != 0 {
+		t.Fatalf("allocated after Reset = %d, want 0", used.Allocated())
 	}
-	b, _ := dst.Alloc()
-	c, _ := src.Alloc()
-	if b != c {
-		t.Fatalf("post-restore alloc order diverged: dst got %d, src got %d", b, c)
+
+	fresh := NewPhysical(8, 200)
+	for i := 0; i < 8; i++ {
+		a, errA := used.Alloc()
+		b, errB := fresh.Alloc()
+		if errA != nil || errB != nil {
+			t.Fatalf("alloc %d: %v / %v", i, errA, errB)
+		}
+		if a != b {
+			t.Fatalf("alloc %d after Reset returned frame %d, a fresh memory %d", i, a, b)
+		}
+		if got := used.ReadU64(a.Addr()); got != 0 {
+			t.Fatalf("frame %d after Reset reads %d, want 0", a, got)
+		}
+	}
+	if _, err := used.Alloc(); err == nil {
+		t.Fatal("Reset memory allocated past its capacity")
 	}
 }
 

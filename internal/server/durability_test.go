@@ -99,6 +99,76 @@ func TestRestartReplaysTerminalJob(t *testing.T) {
 	}
 }
 
+// withRemovedPoolFields adds the snapshot_hits/snapshot_misses resource
+// fields that older builds journaled (the pool's warm-snapshot shelf has
+// since been removed) to a record payload that carries resources.
+func withRemovedPoolFields(t *testing.T, payload []byte) ([]byte, bool) {
+	t.Helper()
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		t.Fatal(err)
+	}
+	raw, ok := rec["resources"]
+	if !ok {
+		return payload, false
+	}
+	var res map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	res["snapshot_hits"] = json.RawMessage("2")
+	res["snapshot_misses"] = json.RawMessage("1")
+	rec["resources"] = mustJSON(res)
+	return mustJSON(rec), true
+}
+
+// TestReplayOldStoreWithSnapshotFields: a job store written by a build that
+// still journaled snapshot_hits/snapshot_misses in its leg and result
+// records must replay, and the terminal job must serve exactly the result
+// bytes and resource account that were journaled.
+func TestReplayOldStoreWithSnapshotFields(t *testing.T) {
+	store := jobstore.NewMem()
+	_, ts1 := crashServer(t, Config{Workers: 2, Store: store})
+	st, resp := submit(t, ts1, multiLegSpec())
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	if final := waitTerminal(t, ts1, st.ID, time.Minute); final.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", final.State, final.Error)
+	}
+	wantCSV := fetchCSV(t, ts1, st.ID)
+	wantRes := resultJSON(t, ts1, st.ID)["resources"]
+
+	old := jobstore.NewMem()
+	rewritten := map[jobstore.Kind]int{}
+	err := store.Replay(func(r jobstore.Record) error {
+		if r.Kind == jobstore.KindLeg || r.Kind == jobstore.KindResult {
+			var ok bool
+			if r.Payload, ok = withRemovedPoolFields(t, r.Payload); ok {
+				rewritten[r.Kind]++
+			}
+		}
+		return old.Append(r)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rewritten[jobstore.KindResult] != 1 || rewritten[jobstore.KindLeg] == 0 {
+		t.Fatalf("rewrote %v records, want the result record and at least one leg record", rewritten)
+	}
+
+	_, ts2 := startServer(t, Config{Workers: 2, Store: old})
+	if got := getStatus(t, ts2, st.ID); got.State != StateDone {
+		t.Fatalf("replayed state = %s (%s), want done", got.State, got.Error)
+	}
+	if gotCSV := fetchCSV(t, ts2, st.ID); !bytes.Equal(gotCSV, wantCSV) {
+		t.Errorf("replayed CSV diverged\n--- want ---\n%s--- got ---\n%s", wantCSV, gotCSV)
+	}
+	if gotRes := resultJSON(t, ts2, st.ID)["resources"]; !bytes.Equal(gotRes, wantRes) {
+		t.Errorf("replayed resources = %s, want %s", gotRes, wantRes)
+	}
+}
+
 // TestRestartResumesQueuedJob: a job accepted but never started (crashed
 // before any executor picked it up) re-enters the queue on restart and
 // finishes with the same bytes a healthy run produces. Uses the real disk

@@ -72,12 +72,10 @@ func (e *inProcExecutor) runLeg(ctx context.Context, j *job, leg int, wireProgre
 	tab, err := harness.RunJobLeg(j.spec.harnessJob(), leg, opts)
 	ps1 := e.pool.Stats()
 	res := JobResources{
-		Resources:      account.Snapshot(),
-		PoolHits:       ps1.Hits - ps0.Hits,
-		PoolMisses:     ps1.Misses - ps0.Misses,
-		PoolEvictions:  ps1.Evictions - ps0.Evictions,
-		SnapshotHits:   ps1.SnapshotHits - ps0.SnapshotHits,
-		SnapshotMisses: ps1.SnapshotMisses - ps0.SnapshotMisses,
+		Resources:     account.Snapshot(),
+		PoolHits:      ps1.Hits - ps0.Hits,
+		PoolMisses:    ps1.Misses - ps0.Misses,
+		PoolEvictions: ps1.Evictions - ps0.Evictions,
 	}
 	return tab, res, wireProgress, err
 }

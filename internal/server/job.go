@@ -253,11 +253,8 @@ type JobResources struct {
 	PoolHits   uint64 `json:"pool_hits"`
 	PoolMisses uint64 `json:"pool_misses"`
 	// PoolEvictions counts idle machines the worker pool dropped at its
-	// per-config cap while this job ran; SnapshotHits/SnapshotMisses count
-	// how the pool's warm-snapshot shelf served the job's legs.
-	PoolEvictions  uint64 `json:"pool_evictions"`
-	SnapshotHits   uint64 `json:"snapshot_hits"`
-	SnapshotMisses uint64 `json:"snapshot_misses"`
+	// per-config cap while this job ran.
+	PoolEvictions uint64 `json:"pool_evictions"`
 }
 
 // add sums two resource accounts field-wise (legs of one job accumulate
@@ -267,8 +264,6 @@ func (r JobResources) add(o JobResources) JobResources {
 	r.PoolHits += o.PoolHits
 	r.PoolMisses += o.PoolMisses
 	r.PoolEvictions += o.PoolEvictions
-	r.SnapshotHits += o.SnapshotHits
-	r.SnapshotMisses += o.SnapshotMisses
 	return r
 }
 

@@ -29,11 +29,9 @@ type metrics struct {
 	queueDepth     atomic.Int64
 	sseSubscribers atomic.Int64
 
-	poolHits       atomic.Uint64
-	poolMisses     atomic.Uint64
-	poolEvictions  atomic.Uint64
-	snapshotHits   atomic.Uint64
-	snapshotMisses atomic.Uint64
+	poolHits      atomic.Uint64
+	poolMisses    atomic.Uint64
+	poolEvictions atomic.Uint64
 
 	// cacheBypass counts no_cache submissions. The hit/miss/coalesced/
 	// eviction counters live in the resultcache itself and are folded into
@@ -95,8 +93,6 @@ func (m *metrics) addJob(res JobResources) {
 	m.poolHits.Add(res.PoolHits)
 	m.poolMisses.Add(res.PoolMisses)
 	m.poolEvictions.Add(res.PoolEvictions)
-	m.snapshotHits.Add(res.SnapshotHits)
-	m.snapshotMisses.Add(res.SnapshotMisses)
 	m.mu.Lock()
 	m.resources = m.resources.Add(res.Resources)
 	m.mu.Unlock()
@@ -138,8 +134,6 @@ func (m *metrics) render(cs resultcache.Stats) string {
 	counter("timecache_pool_misses_total", "Machine-pool gets that assembled a fresh machine.", m.poolMisses.Load())
 	counter("timecache_pool_evictions_total", "Idle machines dropped because a config's shelf was at its cap.", m.poolEvictions.Load())
 	gauge("timecache_pool_idle_cap", "Per-config bound on each worker pool's idle machine list.", int64(machine.DefaultIdleCap))
-	counter("timecache_snapshot_hits_total", "Experiment legs forked from a shelved warm snapshot.", m.snapshotHits.Load())
-	counter("timecache_snapshot_misses_total", "Snapshot-shelf lookups that found no matching warm state.", m.snapshotMisses.Load())
 
 	counter("timecache_result_cache_hits_total", "Submissions answered from the result cache without simulating.", cs.Hits)
 	counter("timecache_result_cache_misses_total", "Submissions that led a new simulation for their fingerprint.", cs.Misses)

@@ -241,8 +241,6 @@ func TestMetricsExposition(t *testing.T) {
 		"timecache_pool_misses_total":        "counter",
 		"timecache_pool_evictions_total":     "counter",
 		"timecache_pool_idle_cap":            "gauge",
-		"timecache_snapshot_hits_total":      "counter",
-		"timecache_snapshot_misses_total":    "counter",
 		"timecache_job_legs_total":           "counter",
 		"timecache_sim_cycles_total":         "counter",
 		"timecache_sim_instructions_total":   "counter",

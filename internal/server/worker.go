@@ -93,12 +93,10 @@ func (w *worker) handleLeg(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := JobResources{
-		Resources:      account.Snapshot(),
-		PoolHits:       ps1.Hits - ps0.Hits,
-		PoolMisses:     ps1.Misses - ps0.Misses,
-		PoolEvictions:  ps1.Evictions - ps0.Evictions,
-		SnapshotHits:   ps1.SnapshotHits - ps0.SnapshotHits,
-		SnapshotMisses: ps1.SnapshotMisses - ps0.SnapshotMisses,
+		Resources:     account.Snapshot(),
+		PoolHits:      ps1.Hits - ps0.Hits,
+		PoolMisses:    ps1.Misses - ps0.Misses,
+		PoolEvictions: ps1.Evictions - ps0.Evictions,
 	}
 	w.log.Info("leg served", "experiment", req.Spec.Experiment, "leg", req.Leg,
 		"rows", len(tab.Rows), "duration", w.clk.Now().Sub(start))

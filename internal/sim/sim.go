@@ -49,16 +49,6 @@ type Proc interface {
 	Step(env Env) bool
 }
 
-// Forker is an optional interface a Proc implements to support machine
-// snapshotting: ForkProc returns an independent copy of the process's
-// execution state, positioned exactly where the original is, such that
-// stepping the copy and stepping the original produce identical instruction
-// streams without affecting each other. Procs that do not implement Forker
-// cannot be captured by Machine.Snapshot.
-type Forker interface {
-	ForkProc() Proc
-}
-
 // ProcFunc adapts a function to the Proc interface.
 type ProcFunc func(env Env) bool
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"time"
 
+	"timecache/internal/clock"
 	"timecache/internal/kernel"
 )
 
@@ -75,7 +76,7 @@ func buildManifest(k *kernel.Kernel) Manifest {
 	hcfg := h.Config()
 	m := Manifest{
 		Tool:      "timecache-sim",
-		CreatedAt: time.Now().UTC(),
+		CreatedAt: clock.Real{}.Now().UTC(),
 		Machine: MachineInfo{
 			Mode:           hcfg.Mode.String(),
 			Cores:          hcfg.Cores,

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"sync"
 	"time"
+
+	"timecache/internal/clock"
 )
 
 // SpanSink receives wall-clock spans. The job service's per-job
@@ -44,11 +46,11 @@ type SpanRecorder struct {
 var _ SpanSink = (*SpanRecorder)(nil)
 
 // NewSpanRecorder creates a recorder whose timestamps come from now
-// (nil = time.Now). The job service injects its wall clock here so traces
-// are deterministic under a fake clock.
+// (nil = clock.Real). The job service injects its wall clock here so
+// traces are deterministic under a fake clock.
 func NewSpanRecorder(now func() time.Time) *SpanRecorder {
 	if now == nil {
-		now = time.Now
+		now = clock.Real{}.Now
 	}
 	return &SpanRecorder{now: now, named: map[int]bool{}}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"timecache/internal/cache"
+	"timecache/internal/clock"
 	"timecache/internal/kernel"
 )
 
@@ -104,7 +105,7 @@ func (c *Collector) Attach(k *kernel.Kernel) *Collector {
 	c.sampler = NewSampler(k, c.cfg.SampleEvery)
 	k.SetProbe(c)
 	k.Hierarchy().SetObserver(c)
-	c.started = time.Now()
+	c.started = clock.Real{}.Now()
 	return c
 }
 
@@ -175,7 +176,7 @@ func (c *Collector) Trace() *TraceBuilder { return c.trace }
 // Manifest builds the run manifest from the machine's current counters.
 func (c *Collector) Manifest() Manifest {
 	m := buildManifest(c.k)
-	m.WallSeconds = time.Since(c.started).Seconds()
+	m.WallSeconds = clock.Real{}.Now().Sub(c.started).Seconds()
 	m.Samples = len(c.sampler.Samples())
 	m.TraceEvents = c.trace.Len()
 	if len(c.meta) > 0 {

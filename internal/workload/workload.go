@@ -69,7 +69,7 @@ type Proc struct {
 	rng     uint64
 
 	// Warmup marks the instruction count after which OnWarm fires once;
-	// the harness uses it to snapshot counters so cold-start misses do not
+	// the harness reads the counters there so cold-start misses do not
 	// pollute steady-state measurements (the paper amortizes them over 1B
 	// instructions).
 	Warmup uint64
@@ -92,17 +92,6 @@ func NewProc(prof Profile, instrs uint64, seed uint64) *Proc {
 
 // Retired returns the number of instructions executed so far.
 func (p *Proc) Retired() uint64 { return p.retired }
-
-// ForkProc implements sim.Forker: the process state is a flat value (RNG
-// position, retirement count, stream/code cursors), so a shallow copy is a
-// complete execution-state clone. The OnWarm callback is dropped — it
-// belongs to the run that installed it, and snapshots are only taken at or
-// after the warm point, where `warmed` already prevents it from refiring.
-func (p *Proc) ForkProc() sim.Proc {
-	q := *p
-	q.OnWarm = nil
-	return &q
-}
 
 func (p *Proc) rand() uint64 {
 	p.rng ^= p.rng << 13

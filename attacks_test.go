@@ -1,6 +1,10 @@
 package timecache
 
-import "testing"
+import (
+	"testing"
+
+	"timecache/internal/harness"
+)
 
 // TestAttackWrapperSweep exercises every public attack entry point at small
 // sizes; the detailed behavioral assertions live in internal/attack — here
@@ -80,37 +84,32 @@ func TestLimitedPointerConfig(t *testing.T) {
 	}
 }
 
-// TestBookkeepingScalingPublic covers the public wrapper.
+// TestBookkeepingScalingPublic runs the §VI-D slice sweep as a job: a
+// longer slice spends a smaller share on s-bit bookkeeping.
 func TestBookkeepingScalingPublic(t *testing.T) {
-	rows, err := ReproduceBookkeepingScaling([]uint64{150_000, 600_000},
-		ExperimentOptions{InstrsPerProc: 40_000, WarmupInstrs: 60_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[1].BookkeepingPct >= rows[0].BookkeepingPct {
-		t.Fatalf("bookkeeping rows: %+v", rows)
+	tab := runJob(t, harness.Job{Experiment: harness.ExpBookkeeping, SliceCycles: []uint64{150_000, 600_000}},
+		harness.Options{InstrsPerProc: 40_000, WarmupInstrs: 60_000})
+	if len(tab.Rows) != 2 || num(t, tab, 1, 1) >= num(t, tab, 0, 1) {
+		t.Fatalf("bookkeeping rows: %v", tab.Rows)
 	}
 }
 
-// TestDefenseAblationPublic covers the public wrapper.
+// TestDefenseAblationPublic runs the defense ablation as a job.
 func TestDefenseAblationPublic(t *testing.T) {
-	rows, err := ReproduceDefenseAblation("2Xnamd",
-		ExperimentOptions{InstrsPerProc: 30_000, WarmupInstrs: 50_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runJob(t, harness.Job{Experiment: harness.ExpAblation, Pairs: []string{"2Xnamd"}},
+		harness.Options{InstrsPerProc: 30_000, WarmupInstrs: 50_000})
 	// The ablation rows come from the defense registry in canonical order,
 	// with the historical display names for the first five.
 	want := []string{"baseline", "timecache", "ftm", "partitioned", "flush-on-switch", "clepsydra", "fase"}
-	if len(rows) != len(want) {
-		t.Fatalf("expected %d defenses, got %d", len(want), len(rows))
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("expected %d defenses, got %d", len(want), len(tab.Rows))
 	}
-	for i, r := range rows {
-		if r.Defense != want[i] {
-			t.Fatalf("row %d defense = %q, want %q", i, r.Defense, want[i])
+	for i, r := range tab.Rows {
+		if r[0] != want[i] {
+			t.Fatalf("row %d defense = %q, want %q", i, r[0], want[i])
 		}
 	}
-	if _, err := ReproduceDefenseAblation("nope", ExperimentOptions{}); err == nil {
+	if _, err := harness.RunJob(harness.Job{Experiment: harness.ExpAblation, Pairs: []string{"nope"}}, harness.Options{}); err == nil {
 		t.Fatal("unknown workload must error")
 	}
 }

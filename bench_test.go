@@ -10,108 +10,54 @@ package timecache
 
 import (
 	"fmt"
-	"math"
 	"testing"
+
+	"timecache/internal/harness"
+	"timecache/internal/stats"
 )
 
 // benchOpts trades statistical tightness for bench runtime.
-func benchOpts() ExperimentOptions {
-	return ExperimentOptions{InstrsPerProc: 100_000, WarmupInstrs: 150_000}
+func benchOpts() harness.Options {
+	return harness.Options{InstrsPerProc: 100_000, WarmupInstrs: 150_000}
 }
 
-// BenchmarkFig7SpecNormalizedTime reproduces Fig. 7: normalized execution
-// time of SPEC2006 pairs on one core (paper geomean: 1.13% overhead).
-func BenchmarkFig7SpecNormalizedTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceTableII(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		prod, n := 1.0, 0
-		for _, r := range rows {
-			prod *= r.Normalized
-			n++
-		}
-		gm := pow(prod, 1/float64(n))
-		b.ReportMetric((gm-1)*100, "overhead-%")
+// column parses one numeric column of a rendered table.
+func column(tb testing.TB, tab *stats.Table, col int) []float64 {
+	out := make([]float64, len(tab.Rows))
+	for i := range tab.Rows {
+		out[i] = num(tb, tab, i, col)
 	}
+	return out
 }
 
-// BenchmarkFig8FirstAccessMPKI reproduces Fig. 8: delayed-access MPKI per
-// cache level for the single-core SPEC runs.
-func BenchmarkFig8FirstAccessMPKI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceTableII(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var l1i, l1d, llc float64
-		for _, r := range rows {
-			l1i += r.FirstAccessL1I
-			l1d += r.FirstAccessL1D
-			llc += r.FirstAccessLLC
-		}
-		n := float64(len(rows))
-		b.ReportMetric(l1i/n, "L1I-faMPKI")
-		b.ReportMetric(l1d/n, "L1D-faMPKI")
-		b.ReportMetric(llc/n, "LLC-faMPKI")
-	}
-}
-
-// BenchmarkFig9aParsecNormalizedTime reproduces Fig. 9a: PARSEC 2-thread
-// 2-core normalized execution time (paper geomean: 0.8% overhead).
-func BenchmarkFig9aParsecNormalizedTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceParsec(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		prod, n := 1.0, 0
-		for _, r := range rows {
-			prod *= r.Normalized
-			n++
-		}
-		gm := pow(prod, 1/float64(n))
-		b.ReportMetric((gm-1)*100, "overhead-%")
-	}
-}
-
-// BenchmarkFig9bParsecMPKI reproduces Fig. 9b: PARSEC delayed-access MPKI
-// per cache. With threads pinned to separate cores, the L1 components are
-// structurally zero and all first accesses land at the LLC.
-func BenchmarkFig9bParsecMPKI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceParsec(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var l1, llc float64
-		for _, r := range rows {
-			l1 += r.FirstAccessL1I + r.FirstAccessL1D
-			llc += r.FirstAccessLLC
-		}
-		b.ReportMetric(l1/float64(len(rows)), "L1-faMPKI")
-		b.ReportMetric(llc/float64(len(rows)), "LLC-faMPKI")
-	}
-}
-
-// BenchmarkTableIIOverheadMPKI reproduces Table II's MPKI columns: the
-// average baseline and TimeCache LLC MPKI across the SPEC workloads
+// BenchmarkTableIISpec reproduces Fig. 7, Fig. 8 and the SPEC half of
+// Table II from one run of the 24 single-core SPEC pairs: the geomean
+// overhead of normalized execution time (paper: 1.13%), the delayed-access
+// MPKI per cache level, and the average baseline and TimeCache LLC MPKI
 // (paper averages: 7.26 and 7.51).
-func BenchmarkTableIIOverheadMPKI(b *testing.B) {
+func BenchmarkTableIISpec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceTableII(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var base, tc float64
-		for _, r := range rows {
-			base += r.MPKIBaseline
-			tc += r.MPKITimeCache
-		}
-		n := float64(len(rows))
-		b.ReportMetric(base/n, "MPKI-base")
-		b.ReportMetric(tc/n, "MPKI-timecache")
+		tab := runJob(b, harness.Job{Experiment: harness.ExpTableII}, benchOpts())
+		b.ReportMetric(stats.OverheadPct(stats.GeoMean(column(b, tab, 1))), "overhead-%")
+		b.ReportMetric(stats.Mean(column(b, tab, 2)), "MPKI-base")
+		b.ReportMetric(stats.Mean(column(b, tab, 3)), "MPKI-timecache")
+		b.ReportMetric(stats.Mean(column(b, tab, 4)), "L1I-faMPKI")
+		b.ReportMetric(stats.Mean(column(b, tab, 5)), "L1D-faMPKI")
+		b.ReportMetric(stats.Mean(column(b, tab, 6)), "LLC-faMPKI")
+	}
+}
+
+// BenchmarkFig9Parsec reproduces Fig. 9a and 9b: PARSEC 2-thread 2-core
+// normalized execution time (paper geomean: 0.8% overhead) and
+// delayed-access MPKI per cache. With threads pinned to separate cores, the
+// L1 components are structurally zero and all first accesses land at the
+// LLC.
+func BenchmarkFig9Parsec(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		tab := runJob(b, harness.Job{Experiment: harness.ExpParsec}, benchOpts())
+		b.ReportMetric(stats.OverheadPct(stats.GeoMean(column(b, tab, 1))), "overhead-%")
+		b.ReportMetric(stats.Mean(column(b, tab, 4))+stats.Mean(column(b, tab, 5)), "L1-faMPKI")
+		b.ReportMetric(stats.Mean(column(b, tab, 6)), "LLC-faMPKI")
 	}
 }
 
@@ -120,13 +66,11 @@ func BenchmarkTableIIOverheadMPKI(b *testing.B) {
 // appears at proportionally smaller caches; the paper's 1B-instruction
 // runs show the same decreasing shape at 2/4/8 MB).
 func BenchmarkFig10LLCSensitivity(b *testing.B) {
+	sizes := []int{512 << 10, 1 << 20, 2 << 20}
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceLLCSensitivity([]int{512 << 10, 1 << 20, 2 << 20}, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.OverheadPct, byteLabel(r.LLCSizeBytes)+"-overhead-%")
+		tab := runJob(b, harness.Job{Experiment: harness.ExpLLCSweep, LLCSizes: sizes}, benchOpts())
+		for r, size := range sizes {
+			b.ReportMetric(num(b, tab, r, 2), byteLabel(size)+"-overhead-%")
 		}
 	}
 }
@@ -172,13 +116,10 @@ func BenchmarkRSAAttack(b *testing.B) {
 // slice grows toward realistic lengths (paper: ~0.02%).
 func BenchmarkSbitSaveRestore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceBookkeepingScaling([]uint64{100_000, 800_000}, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].BookkeepingPct, "short-slice-%")
-		b.ReportMetric(rows[len(rows)-1].BookkeepingPct, "long-slice-%")
-		costs := ComputeSbitCosts(benchOpts())
+		tab := runJob(b, harness.Job{Experiment: harness.ExpBookkeeping, SliceCycles: []uint64{100_000, 800_000}}, benchOpts())
+		b.ReportMetric(num(b, tab, 0, 1), "short-slice-%")
+		b.ReportMetric(num(b, tab, len(tab.Rows)-1, 1), "long-slice-%")
+		costs := harness.SbitCost(benchOpts())
 		b.ReportMetric(float64(costs.DMACyclesPerSwitch), "DMA-cycles/switch")
 	}
 }
@@ -251,16 +192,13 @@ func BenchmarkOtherAttacks(b *testing.B) {
 	}
 }
 
-// BenchmarkDefenseAblation compares TimeCache's overhead with the FTM,
-// way-partitioning, and flush-on-switch baselines from DESIGN.md.
+// BenchmarkDefenseAblation compares TimeCache's overhead with every other
+// registered defense on 2Xgobmk.
 func BenchmarkDefenseAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceDefenseAblation("2Xgobmk", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric((r.Normalized-1)*100, r.Defense+"-overhead-%")
+		tab := runJob(b, harness.Job{Experiment: harness.ExpAblation}, benchOpts())
+		for r, row := range tab.Rows {
+			b.ReportMetric(stats.OverheadPct(num(b, tab, r, 1)), row[0]+"-overhead-%")
 		}
 	}
 }
@@ -270,20 +208,10 @@ func BenchmarkDefenseAblation(b *testing.B) {
 // relative to the functional fast path (results are identical; only
 // simulator time differs).
 func BenchmarkGateLevelComparator(b *testing.B) {
-	opts := ExperimentOptions{InstrsPerProc: 40_000, WarmupInstrs: 60_000, GateLevel: true}
+	opts := harness.Options{InstrsPerProc: 40_000, WarmupInstrs: 60_000, GateLevel: true}
 	for i := 0; i < b.N; i++ {
-		if _, err := ReproduceSpecPair("2Xspecrand", opts); err != nil {
-			b.Fatal(err)
-		}
+		runJob(b, harness.Job{Experiment: harness.ExpTableII, Pairs: []string{"2Xspecrand"}}, opts)
 	}
-}
-
-// pow computes x^y for the geomean reductions.
-func pow(x, y float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Pow(x, y)
 }
 
 func byteLabel(n int) string {

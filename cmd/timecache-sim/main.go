@@ -7,7 +7,10 @@
 //	timecache-sim -mode timecache -workloads lbm,wrf -instrs 300000
 //	timecache-sim -mode baseline  -workloads 2Xperlbench
 //	timecache-sim -compare -workloads 2Xlbm   # run baseline AND timecache
-//	timecache-sim -llc-sweep 512K,1M,2M,4M -workloads 2Xlbm -j4
+//
+// Sweeps (LLC sizes, the defense×attack matrix, ...) are experiment jobs:
+// run them with cmd/reproduce (-only llc-sweep, -only matrix) or submit
+// them to cmd/timecache-serve.
 //
 // Telemetry outputs (any may be combined; see internal/telemetry):
 //
@@ -26,14 +29,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"timecache"
-	"timecache/internal/harness"
-	"timecache/internal/machine"
-	"timecache/internal/runner"
 	"timecache/internal/stats"
 	"timecache/internal/telemetry"
 )
@@ -44,16 +43,10 @@ func main() {
 		workloads = flag.String("workloads", "2Xlbm", "comma-separated SPEC profile names, or 2X<name> for a pair")
 		instrs    = flag.Uint64("instrs", 300_000, "instructions per process")
 		llc       = flag.Int("llc", 2<<20, "LLC size in bytes")
-		llcSweep  = flag.String("llc-sweep", "", "comma-separated LLC sizes (e.g. 512K,1M,2M,4M): run baseline+timecache at each size and report normalized time")
-		matrixRun = flag.Bool("matrix", false, "run the defense×attack evaluation matrix and print the leakage/overhead grid")
-		defenses  = flag.String("defenses", "", "comma-separated defense kinds for -matrix (default: every registered defense)")
-		attacks   = flag.String("attacks", "", "comma-separated attack names for -matrix (default: the full corpus)")
-		attackBit = flag.Int("attack-bits", 0, "secret length each -matrix attack transmits (default 32)")
 		cores     = flag.Int("cores", 1, "number of cores")
 		compare   = flag.Bool("compare", false, "run baseline and timecache and report normalized time")
 		gate      = flag.Bool("gatelevel", false, "use the gate-level bit-serial comparator")
 		cohCheck  = flag.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")
-		jobs      = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent runs in the -llc-sweep path (-j1 = sequential)")
 		timeout   = flag.Duration("timeout", 0, "overall deadline (e.g. 30s); on expiry the run stops cleanly mid-simulation")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
@@ -110,18 +103,6 @@ func main() {
 		defer cancel()
 	}
 
-	if *matrixRun {
-		if err := runMatrix(ctx, *defenses, *attacks, *workloads, *attackBit, *instrs, *cohCheck, *jobs); err != nil {
-			fatalCtx(err, *timeout)
-		}
-		return
-	}
-	if *llcSweep != "" {
-		if err := runLLCSweep(ctx, *llcSweep, *workloads, *instrs, *cores, *gate, *cohCheck, *jobs); err != nil {
-			fatalCtx(err, *timeout)
-		}
-		return
-	}
 	if *compare {
 		if err := runCompare(ctx, *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn, *showHist); err != nil {
 			fatalCtx(err, *timeout)
@@ -132,7 +113,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cycles, st, col, err := runOnce(ctx, nil, mode, *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn)
+	cycles, st, col, err := runOnce(ctx, mode, *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn)
 	if err != nil {
 		fatalCtx(err, *timeout)
 	}
@@ -170,8 +151,8 @@ func expand(list string) []string {
 	return out
 }
 
-func runOnce(ctx context.Context, pool *machine.Pool, mode timecache.Mode, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry bool) (uint64, timecache.Stats, *telemetry.Collector, error) {
-	sys, err := timecache.NewFromPool(pool, timecache.Config{
+func runOnce(ctx context.Context, mode timecache.Mode, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry bool) (uint64, timecache.Stats, *telemetry.Collector, error) {
+	sys, err := timecache.New(timecache.Config{
 		Mode: mode, LLCSize: llc, Cores: cores, GateLevel: gate,
 		CoherenceCheck: cohCheck,
 	})
@@ -206,127 +187,15 @@ func runOnce(ctx context.Context, pool *machine.Pool, mode timecache.Mode, workl
 			return 0, timecache.Stats{}, nil, err
 		}
 	}
-	st := sys.Stats()
-	sys.Release()
-	return cycles, st, col, nil
-}
-
-// parseSize parses a byte size with an optional K/KB/M/MB/G/GB suffix.
-func parseSize(s string) (int, error) {
-	t := strings.ToUpper(strings.TrimSpace(s))
-	mult := 1
-	for _, suf := range []struct {
-		text string
-		mult int
-	}{{"KB", 1 << 10}, {"K", 1 << 10}, {"MB", 1 << 20}, {"M", 1 << 20}, {"GB", 1 << 30}, {"G", 1 << 30}} {
-		if strings.HasSuffix(t, suf.text) {
-			t = strings.TrimSuffix(t, suf.text)
-			mult = suf.mult
-			break
-		}
-	}
-	n, err := strconv.Atoi(t)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("invalid size %q", s)
-	}
-	return n * mult, nil
-}
-
-func sizeLabel(n int) string {
-	switch {
-	case n >= 1<<20 && n%(1<<20) == 0:
-		return fmt.Sprintf("%dMB", n>>20)
-	case n >= 1<<10 && n%(1<<10) == 0:
-		return fmt.Sprintf("%dKB", n>>10)
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
-}
-
-// runLLCSweep runs baseline and timecache legs of the given workload mix at
-// each LLC size, fanning the independent runs out across -j workers. Each
-// worker keeps a machine.Pool so legs with the same shape reuse one Reset
-// machine; a reset machine is indistinguishable from a fresh one, so the
-// table is byte-identical at any -j.
-func runLLCSweep(ctx context.Context, sweep, workloads string, instrs uint64, cores int, gate, cohCheck bool, jobs int) error {
-	var sizes []int
-	for _, f := range strings.Split(sweep, ",") {
-		if strings.TrimSpace(f) == "" {
-			continue
-		}
-		n, err := parseSize(f)
-		if err != nil {
-			return err
-		}
-		sizes = append(sizes, n)
-	}
-	if len(sizes) == 0 {
-		return fmt.Errorf("llc-sweep: no sizes given")
-	}
-	// One job per (size, mode) leg; leg order is fixed so results regroup
-	// deterministically.
-	modes := []timecache.Mode{timecache.Baseline, timecache.TimeCache}
-	cycles, err := runner.MapWorkersCtx(ctx, len(sizes)*len(modes), runner.Options{Workers: jobs}, machine.NewPool, func(pool *machine.Pool, i int) (uint64, error) {
-		size, mode := sizes[i/len(modes)], modes[i%len(modes)]
-		c, _, _, err := runOnce(ctx, pool, mode, workloads, instrs, size, cores, gate, cohCheck, telemetry.Config{}, false)
-		return c, err
-	})
-	if err != nil {
-		return err
-	}
-	tb := stats.NewTable("llc", "baseline-cycles", "timecache-cycles", "normalized", "overhead-pct")
-	for si, size := range sizes {
-		b, t := cycles[si*len(modes)], cycles[si*len(modes)+1]
-		norm := float64(t) / float64(b)
-		tb.Add(sizeLabel(size), b, t, norm, (norm-1)*100)
-	}
-	fmt.Printf("LLC sweep (%s, %d instrs/proc, cold start included):\n", workloads, instrs)
-	fmt.Print(tb.String())
-	return nil
-}
-
-// splitList splits a comma-separated flag value, dropping empties.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// runMatrix dispatches the defense×attack matrix job — the same job kind
-// cmd/reproduce's -only matrix and the job service's POST /v1/jobs run —
-// and prints the leakage/overhead grid.
-func runMatrix(ctx context.Context, defenses, attacks, pairs string, attackBits int, instrs uint64, cohCheck bool, jobs int) error {
-	j := harness.Job{
-		Experiment: harness.ExpMatrix,
-		Pairs:      splitList(pairs),
-		Defenses:   splitList(defenses),
-		Attacks:    splitList(attacks),
-		AttackBits: attackBits,
-	}
-	tab, err := harness.RunJob(j, harness.Options{
-		InstrsPerProc:  instrs,
-		CoherenceCheck: cohCheck,
-		Jobs:           jobs,
-		Ctx:            ctx,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("Defense × attack matrix (leaked bits per attack; slowdown vs none):")
-	fmt.Print(tab.String())
-	return nil
+	return cycles, sys.Stats(), col, nil
 }
 
 func runCompare(ctx context.Context, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry, showHist bool) error {
-	bCycles, _, _, err := runOnce(ctx, nil, timecache.Baseline, workloads, instrs, llc, cores, gate, cohCheck, telemetry.Config{}, false)
+	bCycles, _, _, err := runOnce(ctx, timecache.Baseline, workloads, instrs, llc, cores, gate, cohCheck, telemetry.Config{}, false)
 	if err != nil {
 		return err
 	}
-	tCycles, st, col, err := runOnce(ctx, nil, timecache.TimeCache, workloads, instrs, llc, cores, gate, cohCheck, tcfg, withTelemetry)
+	tCycles, st, col, err := runOnce(ctx, timecache.TimeCache, workloads, instrs, llc, cores, gate, cohCheck, tcfg, withTelemetry)
 	if err != nil {
 		return err
 	}

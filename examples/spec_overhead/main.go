@@ -12,7 +12,8 @@ import (
 	"log"
 	"os"
 
-	"timecache"
+	"timecache/internal/harness"
+	"timecache/internal/workload"
 )
 
 func main() {
@@ -20,21 +21,31 @@ func main() {
 	if len(os.Args) > 1 {
 		label = os.Args[1]
 	}
-	opts := timecache.ExperimentOptions{InstrsPerProc: 300_000, WarmupInstrs: 250_000}
+	var pair workload.Pair
+	for _, p := range workload.SpecPairs() {
+		if p.Label == label {
+			pair = p
+		}
+	}
+	if pair.Label == "" {
+		log.Fatalf("unknown workload pair %q", label)
+	}
+	opts := harness.Options{InstrsPerProc: 300_000, WarmupInstrs: 250_000}
 	fmt.Printf("running %s (%d measured instructions per process after %d warmup)...\n\n",
 		label, opts.InstrsPerProc, opts.WarmupInstrs)
-	row, err := timecache.ReproduceSpecPair(label, opts)
+	rows, err := harness.RunSpecPairs([]workload.Pair{pair}, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	row, paper := rows[0], workload.PaperTableII[label]
 
 	fmt.Printf("%-22s %12s %12s\n", "", "measured", "paper")
-	fmt.Printf("%-22s %12.4f %12.4f\n", "normalized exec time", row.Normalized, row.PaperNormalized)
-	fmt.Printf("%-22s %12.4f %12.4f\n", "LLC MPKI (baseline)", row.MPKIBaseline, row.PaperMPKIBase)
-	fmt.Printf("%-22s %12.4f %12.4f\n", "LLC MPKI (timecache)", row.MPKITimeCache, row.PaperMPKITC)
+	fmt.Printf("%-22s %12.4f %12.4f\n", "normalized exec time", row.Normalized, paper[0])
+	fmt.Printf("%-22s %12.4f %12.4f\n", "LLC MPKI (baseline)", row.MPKIBase, paper[1])
+	fmt.Printf("%-22s %12.4f %12.4f\n", "LLC MPKI (timecache)", row.MPKITC, paper[2])
 	fmt.Println()
 	fmt.Printf("delayed first accesses: L1I %.4f, L1D %.4f, LLC %.4f MPKI\n",
-		row.FirstAccessL1I, row.FirstAccessL1D, row.FirstAccessLLC)
+		row.FirstAccess.L1I, row.FirstAccess.L1D, row.FirstAccess.LLC)
 	fmt.Printf("s-bit bookkeeping     : %.4f%% of execution (shrinks with slice length;\n", row.BookkeepingPct)
 	fmt.Println("                        the paper reports ~0.02% at Linux-scale slices)")
 }

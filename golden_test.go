@@ -74,7 +74,7 @@ func tableIISlice(t *testing.T, jobs int) *stats.Table {
 }
 
 // llcSweepPoint runs one Fig. 10 point (two pairs at 1 MB) through the job
-// dispatch layer and renders it in cmd/reproduce's fig10 format.
+// dispatch layer.
 func llcSweepPoint(t *testing.T, jobs int) *stats.Table {
 	t.Helper()
 	tab, err := harness.RunJob(harness.Job{

@@ -1,9 +1,9 @@
 // Job dispatch: a declarative description of one experiment, attack, or
 // sweep run, decoupled from any CLI flag parsing, plus the renderers that
-// turn results into the exact tables cmd/reproduce and the golden artifacts
-// use. The HTTP job service (internal/server) and the golden tests both
-// funnel through this layer, so a job submitted over the network is
-// byte-identical to one run in-process.
+// turn results into tables. cmd/reproduce, the HTTP job service
+// (internal/server) and the golden tests all funnel through this layer, so
+// a job submitted over the network is byte-identical to one run from the
+// CLI.
 package harness
 
 import (
@@ -242,8 +242,8 @@ func LLCSweepTable(sizes []int, pairs []workload.Pair, opts Options) (*stats.Tab
 	return tab, nil
 }
 
-// AblationTable runs the defense ablation on one pair and renders it in
-// cmd/reproduce's ablation format.
+// AblationTable runs the defense ablation on one pair and renders one
+// normalized-time row per registered defense.
 func AblationTable(pair workload.Pair, opts Options) (*stats.Table, error) {
 	rows, err := RunDefenseAblation(pair, opts)
 	if err != nil {
@@ -256,8 +256,8 @@ func AblationTable(pair workload.Pair, opts Options) (*stats.Table, error) {
 	return tab, nil
 }
 
-// BookkeepingTable runs the §VI-D slice-length scaling and renders it in
-// cmd/reproduce's bookkeeping format.
+// BookkeepingTable runs the §VI-D slice-length scaling and renders one row
+// per slice length.
 func BookkeepingTable(slices []uint64, opts Options) (*stats.Table, error) {
 	pts, err := RunBookkeepingScaling(workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, slices, opts)
 	if err != nil {
@@ -271,9 +271,8 @@ func BookkeepingTable(slices []uint64, opts Options) (*stats.Table, error) {
 }
 
 // SecurityTable runs the §VI-A security evaluation (microbenchmark and RSA
-// flush+reload under baseline and TimeCache) and renders it in
-// cmd/reproduce's security format. The four runs are short and sequential;
-// Progress is reported after each.
+// flush+reload under baseline and TimeCache) and renders one row per run.
+// The four runs are short and sequential; Progress is reported after each.
 func SecurityTable(keyBits int, seed uint64, opts Options) (*stats.Table, error) {
 	opts = opts.withDefaults()
 	tab := stats.NewTable("experiment", "mode", "result")

@@ -47,7 +47,7 @@ type Options struct {
 	// so one config fans out over a whole sweep.
 	Telemetry *telemetry.Config
 	// Jobs is the number of simulation runs executed concurrently by the
-	// sweep entry points (RunAllSpecPairs, RunAllParsec, RunLLCSensitivity,
+	// sweep entry points (RunSpecPairs, RunParsecSet, RunLLCSensitivity,
 	// RunDefenseAblation, RunBookkeepingScaling). Each run builds its own
 	// machine, so results are bit-identical to sequential execution; see
 	// internal/runner. Zero or negative selects runtime.GOMAXPROCS(0);
@@ -440,13 +440,8 @@ func result(label string, mb, mt measurement) PairResult {
 	return res
 }
 
-// RunSpecPair measures one Fig. 7 / Table II row: the same pair under the
-// baseline and under TimeCache. Machines come from Options.Pool when set.
-func RunSpecPair(pair workload.Pair, opts Options) (PairResult, error) {
-	return runSpecPair(opts.Pool, pair, opts)
-}
-
-// runSpecPair is RunSpecPair drawing machines from pool.
+// runSpecPair measures one Fig. 7 / Table II row: the same pair under the
+// baseline and under TimeCache, on machines from pool (nil builds fresh).
 func runSpecPair(pool *machine.Pool, pair workload.Pair, opts Options) (PairResult, error) {
 	opts = opts.withDefaults()
 	mb, err := runSpecPairOnce(pool, pair, cache.SecOff, opts)
@@ -460,17 +455,11 @@ func runSpecPair(pool *machine.Pool, pair workload.Pair, opts Options) (PairResu
 	return result(pair.Label, mb, mt), nil
 }
 
-// RunAllSpecPairs reproduces Figures 7 and 8 and the SPEC half of Table II.
-// Pairs are fully independent, so they fan out across Options.Jobs workers
-// with results in paper order; each worker reuses one pooled machine per
-// configuration (Reset between runs) instead of rebuilding.
-func RunAllSpecPairs(opts Options) ([]PairResult, error) {
-	pairs := workload.SpecPairs()
-	return RunSpecPairs(pairs, opts)
-}
-
-// RunSpecPairs measures an arbitrary selection of Fig. 7 / Table II pairs,
-// fanned out across Options.Jobs workers with pooled machines.
+// RunSpecPairs measures a selection of Fig. 7 / Table II pairs (Figures 7
+// and 8 and the SPEC half of Table II). Pairs are fully independent, so they
+// fan out across Options.Jobs workers with results in request order; each
+// worker reuses one pooled machine per configuration (Reset between runs)
+// instead of rebuilding.
 func RunSpecPairs(pairs []workload.Pair, opts Options) ([]PairResult, error) {
 	opts = opts.withDefaults()
 	return runner.MapWorkersCtx(opts.ctx(), len(pairs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (PairResult, error) {
@@ -512,13 +501,8 @@ func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Opt
 	return runLeg(pool, opts, l)
 }
 
-// RunParsec measures one Fig. 9 row. Machines come from Options.Pool when
-// set.
-func RunParsec(name string, opts Options) (PairResult, error) {
-	return runParsec(opts.Pool, name, opts)
-}
-
-// runParsec is RunParsec drawing machines from pool.
+// runParsec measures one Fig. 9 row on machines from pool (nil builds
+// fresh).
 func runParsec(pool *machine.Pool, name string, opts Options) (PairResult, error) {
 	opts = opts.withDefaults()
 	mb, err := runParsecOnce(pool, name, cache.SecOff, opts)
@@ -532,15 +516,9 @@ func runParsec(pool *machine.Pool, name string, opts Options) (PairResult, error
 	return result(name, mb, mt), nil
 }
 
-// RunAllParsec reproduces Figures 9a/9b and the PARSEC rows of Table II,
-// fanned out across Options.Jobs workers with per-worker machine pools.
-func RunAllParsec(opts Options) ([]PairResult, error) {
-	names := workload.ParsecNames()
-	return RunParsecSet(names, opts)
-}
-
-// RunParsecSet measures an arbitrary selection of Fig. 9 workloads, fanned
-// out across Options.Jobs workers with pooled machines.
+// RunParsecSet measures a selection of Fig. 9 workloads (Figures 9a/9b and
+// the PARSEC rows of Table II), fanned out across Options.Jobs workers with
+// pooled machines.
 func RunParsecSet(names []string, opts Options) ([]PairResult, error) {
 	opts = opts.withDefaults()
 	return runner.MapWorkersCtx(opts.ctx(), len(names), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (PairResult, error) {

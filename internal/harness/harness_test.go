@@ -14,9 +14,15 @@ func smallOpts() Options {
 	return Options{InstrsPerProc: 60_000, WarmupInstrs: 120_000}
 }
 
+// runPair measures one pair exactly as RunSpecPairs measures each of its
+// pairs: on opts.Pool when set, else on fresh machines.
+func runPair(pair workload.Pair, opts Options) (PairResult, error) {
+	return runSpecPair(opts.Pool, pair, opts)
+}
+
 func TestRunSpecPairProducesSaneRow(t *testing.T) {
 	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
-	r, err := RunSpecPair(pair, smallOpts())
+	r, err := runPair(pair, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +48,11 @@ func TestRunSpecPairProducesSaneRow(t *testing.T) {
 }
 
 func TestStreamingPairHasHigherMPKI(t *testing.T) {
-	low, err := RunSpecPair(workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, smallOpts())
+	low, err := runPair(workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := RunSpecPair(workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}, smallOpts())
+	high, err := runPair(workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +63,7 @@ func TestStreamingPairHasHigherMPKI(t *testing.T) {
 }
 
 func TestRunParsecNoL1FirstAccesses(t *testing.T) {
-	r, err := RunParsec("blackscholes", smallOpts())
+	r, err := runParsec(nil, "blackscholes", smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +155,13 @@ func TestSbitCostMatchesPaper(t *testing.T) {
 func TestGateLevelMatchesFastPath(t *testing.T) {
 	pair := workload.Pair{Label: "2Xspecrand", A: "specrand", B: "specrand"}
 	opts := Options{InstrsPerProc: 30_000, WarmupInstrs: 50_000}
-	fast, err := RunSpecPair(pair, opts)
+	fast, err := runPair(pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gopts := opts
 	gopts.GateLevel = true
-	gate, err := RunSpecPair(pair, gopts)
+	gate, err := runPair(pair, gopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +190,11 @@ func TestSnapshotShelfReuse(t *testing.T) {
 	opts := smallOpts()
 	opts.Pool = pool
 
-	first, err := RunSpecPair(pair, opts)
+	first, err := runPair(pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunSpecPair(pair, opts)
+	second, err := runPair(pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +222,7 @@ func TestMachineSourcesAgree(t *testing.T) {
 	var results []PairResult
 	run := func(opts Options) {
 		t.Helper()
-		r, err := RunSpecPair(pair, opts)
+		r, err := runPair(pair, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +252,7 @@ func TestMachineSourcesAgree(t *testing.T) {
 // pool's snapshot counters stay 0.
 func TestSnapshotTelemetryForcesCold(t *testing.T) {
 	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
-	plain, err := RunSpecPair(pair, smallOpts())
+	plain, err := runPair(pair, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +261,7 @@ func TestSnapshotTelemetryForcesCold(t *testing.T) {
 	opts.Pool = pool
 	opts.Telemetry = &telemetry.Config{}
 
-	got, err := RunSpecPair(pair, opts)
+	got, err := runPair(pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,22 +8,19 @@ import (
 	"timecache/internal/defense"
 )
 
-// TestDefenseConfigMapping pins the Config.Defense routing (static()): each
-// registry kind maps to exactly the hierarchy/kernel configuration its
-// legacy per-field spelling produced, a set Defense overrides the legacy
-// structural fields entirely, and New installs a runtime defense for — and
-// only for — the kinds that declare one.
+// TestDefenseConfigMapping pins the Config.Defense routing (static()): the
+// three kinds that share a name with a Mode map to exactly the
+// hierarchy/kernel configuration that Mode produces, a set Defense overrides
+// Mode entirely, dawg-lite and flush-on-switch set their structural flags,
+// and New installs a runtime defense for — and only for — the kinds that
+// declare one.
 func TestDefenseConfigMapping(t *testing.T) {
-	legacy := map[string]Config{
-		defense.None:          {},
-		defense.TimeCache:     {Mode: cache.SecTimeCache},
-		defense.FTM:           {Mode: cache.SecFTM},
-		defense.DAWGLite:      {Partitioned: true},
-		defense.FlushOnSwitch: {FlushOnSwitch: true},
-		defense.Clepsydra:     {},
-		defense.FASE:          {},
+	byMode := map[string]Config{
+		defense.None:      {},
+		defense.TimeCache: {Mode: cache.SecTimeCache},
+		defense.FTM:       {Mode: cache.SecFTM},
 	}
-	for kind, want := range legacy {
+	for kind, want := range byMode {
 		cfg := Config{Defense: kind}
 		if got, w := cfg.HierarchyConfig(), want.HierarchyConfig(); got != w {
 			t.Errorf("%s: HierarchyConfig\n got %+v\nwant %+v", kind, got, w)
@@ -33,14 +30,17 @@ func TestDefenseConfigMapping(t *testing.T) {
 		}
 	}
 
-	// A set Defense is authoritative: the legacy structural fields are
-	// ignored, never merged.
-	over := Config{Defense: defense.None, Mode: cache.SecTimeCache, Partitioned: true, FlushOnSwitch: true}
+	// A set Defense is authoritative: Mode is ignored, never merged.
+	over := Config{Defense: defense.None, Mode: cache.SecTimeCache}
 	if got, want := over.HierarchyConfig(), (Config{}).HierarchyConfig(); got != want {
-		t.Errorf("Defense did not override legacy fields:\n got %+v\nwant %+v", got, want)
+		t.Errorf("Defense did not override Mode:\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := over.KernelConfig(), (Config{}).KernelConfig(); got != want {
-		t.Errorf("Defense did not override FlushOnSwitch:\n got %+v\nwant %+v", got, want)
+
+	if h := (Config{Defense: defense.DAWGLite}).HierarchyConfig(); !h.Partitioned || h.Mode != cache.SecOff {
+		t.Errorf("dawg-lite: HierarchyConfig %+v, want partitioned with no s-bits", h)
+	}
+	if k := (Config{Defense: defense.FlushOnSwitch}).KernelConfig(); !k.FlushOnSwitch {
+		t.Errorf("flush-on-switch: KernelConfig %+v, want FlushOnSwitch", k)
 	}
 
 	runtime := map[string]bool{defense.Clepsydra: true, defense.FASE: true}
@@ -60,29 +60,25 @@ func TestDefenseConfigMapping(t *testing.T) {
 	}
 }
 
-// TestDefenseConfigEquivalence is the tentpole's byte-identity claim at the
-// machine layer: for every pure-static kind, a machine configured through
-// the registry spelling runs cycle- and counter-identical to one configured
-// through the legacy flags.
+// TestDefenseConfigEquivalence is the byte-identity claim at the machine
+// layer: for each kind that shares a name with a Mode, a machine configured
+// through the registry spelling runs cycle- and counter-identical to one
+// configured through the Mode.
 func TestDefenseConfigEquivalence(t *testing.T) {
 	cases := []struct {
-		kind   string
-		legacy Config
+		kind string
+		mode cache.SecMode
 	}{
-		{defense.None, Config{Mode: cache.SecOff}},
-		{defense.TimeCache, Config{Mode: cache.SecTimeCache}},
-		{defense.FTM, Config{Mode: cache.SecFTM}},
-		{defense.DAWGLite, Config{Partitioned: true}},
-		{defense.FlushOnSwitch, Config{FlushOnSwitch: true}},
+		{defense.None, cache.SecOff},
+		{defense.TimeCache, cache.SecTimeCache},
+		{defense.FTM, cache.SecFTM},
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind, func(t *testing.T) {
-			lcfg := tc.legacy
-			lcfg.PhysFrames = 8192
-			want := runWorkloadPair(t, New(lcfg))
+			want := runWorkloadPair(t, New(Config{Mode: tc.mode, PhysFrames: 8192}))
 			got := runWorkloadPair(t, New(Config{Defense: tc.kind, PhysFrames: 8192}))
 			if got != want {
-				t.Errorf("registry spelling diverged from legacy flags:\n got %s\nwant %s", got, want)
+				t.Errorf("registry spelling diverged from Mode:\n got %s\nwant %s", got, want)
 			}
 		})
 	}

@@ -38,16 +38,18 @@ const DefaultPhysFrames = 32768
 // Config is comparable (it has no slice, map, or func fields) so it can key
 // a Pool: two configs are the same machine shape iff they are ==.
 type Config struct {
-	// Mode selects the defense (cache.SecOff, SecTimeCache, SecFTM).
+	// Mode selects the cache security mode (cache.SecOff, SecTimeCache,
+	// SecFTM) when Defense is empty.
 	Mode cache.SecMode
 	// Defense, when non-empty, selects the defense by registry kind
 	// (internal/defense: "none", "timecache", "ftm", "dawg-lite",
-	// "flush-on-switch", "clepsydra", "fase"), overriding Mode,
-	// Partitioned, and FlushOnSwitch, and installing the kind's runtime
-	// defense instance on the hierarchy when it has one. Because Config is
-	// comparable, the field participates in pool keys automatically:
-	// machines with different defenses never alias. An unknown kind panics
-	// at assembly; validate at the job layer first.
+	// "flush-on-switch", "clepsydra", "fase"), overriding Mode and
+	// installing the kind's runtime defense instance on the hierarchy when
+	// it has one. It is the only way to select dawg-lite and
+	// flush-on-switch. Because Config is comparable, the field participates
+	// in pool keys automatically: machines with different defenses never
+	// alias. An unknown kind panics at assembly; validate at the job layer
+	// first.
 	Defense string
 	// Cores is the number of cores; zero keeps the default (1).
 	Cores int
@@ -66,8 +68,6 @@ type Config struct {
 	MaxSharers int
 	// ConstantTimeFlush makes clflush constant-time (the §VII-C mitigation).
 	ConstantTimeFlush bool
-	// Partitioned enables the DAWG-lite way-partitioning baseline.
-	Partitioned bool
 	// RandomizedIndex enables CEASER-lite LLC index randomization with the
 	// given nonzero key.
 	RandomizedIndex uint64
@@ -86,9 +86,6 @@ type Config struct {
 	// SliceCycles overrides the scheduler time slice; zero keeps the
 	// default (200k cycles).
 	SliceCycles uint64
-	// FlushOnSwitch flushes every cache at each context switch (the
-	// baseline defense of §IV-C).
-	FlushOnSwitch bool
 	// PhysFrames sizes physical memory; zero keeps DefaultPhysFrames.
 	// Capacity only gates out-of-memory — it never changes timing — so
 	// callers may round it up freely to share pooled machines.
@@ -144,12 +141,12 @@ func (c Config) KernelConfig() kernel.Config {
 }
 
 // static resolves the effective structural defense configuration: the
-// Defense registry kind when set, else the legacy per-field selection. The
-// two spellings of the same defense produce identical machines
+// Defense registry kind when set, else Mode alone. A Mode and the registry
+// kind of the same name produce identical machines
 // (TestDefenseConfigEquivalence pins this).
 func (c Config) static() defense.Static {
 	if c.Defense == "" {
-		return defense.Static{Mode: c.Mode, Partitioned: c.Partitioned, FlushOnSwitch: c.FlushOnSwitch}
+		return defense.Static{Mode: c.Mode}
 	}
 	st, err := defense.StaticOf(c.Defense)
 	if err != nil {

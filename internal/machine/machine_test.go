@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"timecache/internal/cache"
+	"timecache/internal/defense"
 	"timecache/internal/kernel"
 	"timecache/internal/telemetry"
 	"timecache/internal/workload"
@@ -32,7 +33,6 @@ func TestHierarchyConfigMapping(t *testing.T) {
 		GateLevel:         true,
 		MaxSharers:        3,
 		ConstantTimeFlush: true,
-		Partitioned:       true,
 		RandomizedIndex:   0xABCD,
 		CoherenceCheck:    true,
 		NextLinePrefetch:  true,
@@ -50,7 +50,6 @@ func TestHierarchyConfigMapping(t *testing.T) {
 	want.Sec.GateLevel = true
 	want.Sec.MaxSharers = 3
 	want.ConstantTimeFlush = true
-	want.Partitioned = true
 	want.IndexRand = 0xABCD
 	want.CoherenceCheck = true
 	want.NextLinePrefetch = true
@@ -70,7 +69,7 @@ func TestKernelConfigMapping(t *testing.T) {
 	want := kernel.DefaultConfig()
 	want.SliceCycles = 12345
 	want.FlushOnSwitch = true
-	if got := (Config{SliceCycles: 12345, FlushOnSwitch: true}).KernelConfig(); got != want {
+	if got := (Config{SliceCycles: 12345, Defense: defense.FlushOnSwitch}).KernelConfig(); got != want {
 		t.Fatalf("kernel mapping:\n got %+v\nwant %+v", got, want)
 	}
 }

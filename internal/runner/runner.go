@@ -107,9 +107,9 @@ func MapWorkersCtx[S, T any](ctx context.Context, n int, opts Options, newState 
 	var (
 		next   atomic.Int64 // next job index to hand out
 		failed atomic.Bool  // set on first error: stop handing out jobs
-		done   atomic.Int64 // completed jobs (success only), for Progress
+		done   int          // completed jobs (success only), for Progress
 
-		mu       sync.Mutex // guards firstErr/firstIdx and Progress calls
+		mu       sync.Mutex // guards firstErr/firstIdx, done and Progress calls
 		firstErr error
 		firstIdx int
 		wg       sync.WaitGroup
@@ -145,9 +145,10 @@ func MapWorkersCtx[S, T any](ctx context.Context, n int, opts Options, newState 
 				}
 				results[i] = r
 				if opts.Progress != nil {
-					d := int(done.Add(1))
+					// Count inside the lock so calls see done in order.
 					mu.Lock()
-					opts.Progress(d, n)
+					done++
+					opts.Progress(done, n)
 					mu.Unlock()
 				}
 			}

@@ -90,25 +90,37 @@ func TestMapSequentialErrorSemantics(t *testing.T) {
 }
 
 // TestProgress checks the callback reports monotonically increasing counts
-// up to n.
+// up to n. The slow case stalls the first callback so other workers finish
+// jobs meanwhile; their counts must still arrive after it, in order.
 func TestProgress(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	cases := []struct {
+		workers, n int
+		firstDelay time.Duration
+	}{
+		{1, 20, 0},
+		{4, 20, 0},
+		{4, 64, 5 * time.Millisecond},
+	}
+	for _, tc := range cases {
 		var calls []int
-		_, err := Map(20, Options{Workers: workers, Progress: func(d, total int) {
-			if total != 20 {
-				t.Fatalf("total = %d, want 20", total)
+		_, err := Map(tc.n, Options{Workers: tc.workers, Progress: func(d, total int) {
+			if total != tc.n {
+				t.Fatalf("total = %d, want %d", total, tc.n)
+			}
+			if len(calls) == 0 {
+				time.Sleep(tc.firstDelay)
 			}
 			calls = append(calls, d)
 		}}, func(i int) (int, error) { return i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(calls) != 20 {
-			t.Fatalf("workers=%d: %d progress calls, want 20", workers, len(calls))
+		if len(calls) != tc.n {
+			t.Fatalf("workers=%d: %d progress calls, want %d", tc.workers, len(calls), tc.n)
 		}
-		for i := 1; i < len(calls); i++ {
-			if calls[i] <= calls[i-1] {
-				t.Fatalf("workers=%d: progress not monotonic: %v", workers, calls)
+		for i := range calls {
+			if calls[i] != i+1 {
+				t.Fatalf("workers=%d: progress not monotonic: %v", tc.workers, calls)
 			}
 		}
 	}

@@ -16,10 +16,9 @@ import (
 	"timecache/internal/telemetry"
 )
 
-// Spec is the wire-format job description accepted by POST /v1/jobs. It
-// mirrors the cmd/reproduce and cmd/timecache-sim flag surface: an experiment
-// name, the workload selection, and the machine/fidelity overrides. Zero
-// values defer to the same defaults the CLIs use.
+// Spec is the wire-format job description accepted by POST /v1/jobs: an
+// experiment name, the workload selection, and the machine/fidelity
+// overrides. Zero values defer to the same defaults cmd/reproduce uses.
 type Spec struct {
 	// Experiment is one of harness.Experiments() ("table2", "parsec",
 	// "llc-sweep", "ablation", "bookkeeping", "security", "matrix").

@@ -1,15 +1,39 @@
 package timecache
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 
+	"timecache/internal/harness"
 	"timecache/internal/stats"
 )
 
 // quickOpts returns experiment options scaled down far enough for CI while
 // still crossing the warmup threshold on every process.
-func quickOpts(jobs int) ExperimentOptions {
-	return ExperimentOptions{InstrsPerProc: 20_000, WarmupInstrs: 20_000, Jobs: jobs}
+func quickOpts(jobs int) harness.Options {
+	return harness.Options{InstrsPerProc: 20_000, WarmupInstrs: 20_000, Jobs: jobs}
+}
+
+// runJob runs one experiment job through harness.RunJob — the path
+// cmd/reproduce and the job service share — failing the test on error.
+func runJob(tb testing.TB, j harness.Job, opts harness.Options) *stats.Table {
+	tb.Helper()
+	tab, err := harness.RunJob(j, opts)
+	if err != nil {
+		tb.Fatalf("%s: %v", j.Experiment, err)
+	}
+	return tab
+}
+
+// num parses one numeric cell of a rendered table.
+func num(tb testing.TB, tab *stats.Table, row, col int) float64 {
+	tb.Helper()
+	v, err := strconv.ParseFloat(tab.Rows[row][col], 64)
+	if err != nil {
+		tb.Fatalf("row %d col %d: %v", row, col, err)
+	}
+	return v
 }
 
 // TestParallelLLCSensitivityDeterminism runs the Fig. 10 sweep sequentially
@@ -20,20 +44,9 @@ func TestParallelLLCSensitivityDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
-	sizes := []int{512 << 10, 1 << 20}
-	render := func(jobs int) string {
-		rows, err := ReproduceLLCSensitivity(sizes, quickOpts(jobs))
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		tab := stats.NewTable("llc", "geomean-normalized", "overhead-pct")
-		for _, r := range rows {
-			tab.Add(r.LLCSizeBytes, r.GeoMeanNorm, r.OverheadPct)
-		}
-		return tab.CSV()
-	}
-	seq := render(1)
-	par := render(8)
+	job := harness.Job{Experiment: harness.ExpLLCSweep, LLCSizes: []int{512 << 10, 1 << 20}}
+	seq := runJob(t, job, quickOpts(1)).CSV()
+	par := runJob(t, job, quickOpts(8)).CSV()
 	if seq != par {
 		t.Fatalf("CSV output differs between -j1 and -j8:\n--- j1 ---\n%s\n--- j8 ---\n%s", seq, par)
 	}
@@ -48,46 +61,29 @@ func TestParallelAblationDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
-	render := func(jobs int) string {
-		rows, err := ReproduceDefenseAblation("2Xgobmk", quickOpts(jobs))
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		tab := stats.NewTable("defense", "normalized-time")
-		for _, r := range rows {
-			tab.Add(r.Defense, r.Normalized)
-		}
-		return tab.Markdown()
-	}
-	seq := render(1)
-	par := render(8)
+	job := harness.Job{Experiment: harness.ExpAblation}
+	seq := runJob(t, job, quickOpts(1)).Markdown()
+	par := runJob(t, job, quickOpts(8)).Markdown()
 	if seq != par {
 		t.Fatalf("markdown output differs between -j1 and -j8:\n--- j1 ---\n%s\n--- j8 ---\n%s", seq, par)
 	}
 }
 
 // TestParallelBookkeepingDeterminism covers the slice-length sweep with a
-// row-by-row comparison (struct equality, stricter than the rendered
-// table).
+// cell-by-cell comparison of the rendered rows.
 func TestParallelBookkeepingDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
-	slices := []uint64{50_000, 100_000}
-	seq, err := ReproduceBookkeepingScaling(slices, quickOpts(1))
-	if err != nil {
-		t.Fatal(err)
+	job := harness.Job{Experiment: harness.ExpBookkeeping, SliceCycles: []uint64{50_000, 100_000}}
+	seq := runJob(t, job, quickOpts(1))
+	par := runJob(t, job, quickOpts(8))
+	if len(seq.Rows) != len(par.Rows) {
+		t.Fatalf("row counts differ: %d vs %d", len(seq.Rows), len(par.Rows))
 	}
-	par, err := ReproduceBookkeepingScaling(slices, quickOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("row counts differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("row %d differs: %+v vs %+v", i, seq[i], par[i])
+	for i := range seq.Rows {
+		if !slices.Equal(seq.Rows[i], par.Rows[i]) {
+			t.Fatalf("row %d differs: %v vs %v", i, seq.Rows[i], par.Rows[i])
 		}
 	}
 }

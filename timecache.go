@@ -10,14 +10,16 @@
 // LRU, coherence invalidate+transfer, evict+time), an RSA square-and-
 // multiply victim, and calibrated SPEC2006/PARSEC workload models.
 //
-// The top-level API exposes three layers:
+// The top-level API exposes two layers:
 //
 //   - System construction and program execution (New, (*System).LoadAsm,
 //     (*System).SpawnSpec, (*System).Run) for building custom experiments.
 //   - Attack scenarios (RunRSAAttack, RunMicrobenchmark, ...) matching the
 //     paper's security evaluation.
-//   - Experiment reproduction (ReproduceTableII, ReproduceParsec,
-//     ReproduceLLCSensitivity, ...) regenerating every table and figure.
+//
+// The paper's tables and figures are experiment jobs (internal/harness
+// Job and RunJob): cmd/reproduce renders every one of them, and
+// cmd/timecache-serve runs the same jobs over HTTP with identical output.
 package timecache
 
 import (
@@ -96,8 +98,6 @@ type Config struct {
 	// ConstantTimeFlush makes clflush constant-time (the §VII-C
 	// mitigation).
 	ConstantTimeFlush bool
-	// Partitioned enables the DAWG-lite way-partitioning baseline.
-	Partitioned bool
 	// RandomizedIndex enables CEASER-lite LLC index randomization with the
 	// given nonzero key.
 	RandomizedIndex uint64
@@ -132,7 +132,6 @@ func (c Config) machineConfig() machine.Config {
 		GateLevel:         c.GateLevel,
 		MaxSharers:        c.MaxSharers,
 		ConstantTimeFlush: c.ConstantTimeFlush,
-		Partitioned:       c.Partitioned,
 		RandomizedIndex:   c.RandomizedIndex,
 		CoherenceCheck:    c.CoherenceCheck,
 		SliceCycles:       c.SliceCycles,
@@ -143,32 +142,16 @@ func (c Config) machineConfig() machine.Config {
 // System is a simulated machine: cores, caches, physical memory, and the
 // kernel that schedules processes on it.
 type System struct {
-	cfg  Config
-	m    *machine.Machine
-	k    *kernel.Kernel
-	pool *machine.Pool
+	cfg Config
+	k   *kernel.Kernel
 }
 
 // New builds a System from cfg. Assembly happens in internal/machine; this
 // only translates the public Config.
 func New(cfg Config) (*System, error) {
-	return NewFromPool(nil, cfg)
-}
-
-// NewFromPool builds a System from cfg, checking a machine out of pool when
-// one of the identical shape was released earlier (pool may be nil to always
-// build fresh). A reused machine is Reset first and runs exactly like a new
-// one; call Release when done with the System so the machine goes back for
-// the next run.
-func NewFromPool(pool *machine.Pool, cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	m := pool.Get(cfg.machineConfig())
-	return &System{cfg: cfg, m: m, k: m.Kernel(), pool: pool}, nil
+	return &System{cfg: cfg, k: machine.New(cfg.machineConfig()).Kernel()}, nil
 }
-
-// Release returns the System's machine to the pool it was drawn from (a
-// no-op for pool-less Systems). The System must not be used afterwards.
-func (s *System) Release() { s.pool.Put(s.m) }
 
 // Process is a handle on a spawned process.
 type Process struct {

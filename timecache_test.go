@@ -3,6 +3,9 @@ package timecache
 import (
 	"strings"
 	"testing"
+
+	"timecache/internal/harness"
+	"timecache/internal/workload"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -144,8 +147,8 @@ func TestWorkloadLists(t *testing.T) {
 	if len(ParsecWorkloads()) != 6 {
 		t.Fatal("PARSEC list should have 6 entries")
 	}
-	if len(SpecPairLabels()) != 24 {
-		t.Fatalf("Table II has 24 workloads, got %d", len(SpecPairLabels()))
+	if len(workload.SpecPairs()) != 24 {
+		t.Fatalf("Table II has 24 workloads, got %d", len(workload.SpecPairs()))
 	}
 }
 
@@ -192,33 +195,28 @@ func TestPublicRSAAttack(t *testing.T) {
 	}
 }
 
+// TestExperimentSinglePair runs one Table II row as a job. The ad-hoc
+// "2X<profile>" fallback for profiles outside the Table II list went away
+// with the wrapper that offered it: a job names Table II pairs only.
 func TestExperimentSinglePair(t *testing.T) {
-	opts := ExperimentOptions{InstrsPerProc: 40_000, WarmupInstrs: 80_000}
-	row, err := ReproduceSpecPair("2Xnamd", opts)
-	if err != nil {
-		t.Fatal(err)
+	opts := harness.Options{InstrsPerProc: 40_000, WarmupInstrs: 80_000}
+	tab := runJob(t, harness.Job{Experiment: harness.ExpTableII, Pairs: []string{"2Xnamd"}}, opts)
+	if len(tab.Rows) != 1 || tab.Rows[0][0] != "2Xnamd" {
+		t.Fatalf("rows = %v, want one 2Xnamd row", tab.Rows)
 	}
-	if row.Normalized <= 0 {
+	if num(t, tab, 0, 1) <= 0 {
 		t.Fatal("normalized time missing")
 	}
-	if row.PaperNormalized == 0 {
+	if workload.PaperTableII["2Xnamd"][0] == 0 {
 		t.Fatal("paper reference missing for 2Xnamd")
 	}
-	// Ad-hoc pair of a profile name not in the Table II list.
-	row2, err := ReproduceSpecPair("zeusmp", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row2.Workload != "2Xzeusmp" {
-		t.Fatalf("ad-hoc pair label %q", row2.Workload)
-	}
-	if _, err := ReproduceSpecPair("nonsense", opts); err == nil {
+	if _, err := harness.RunJob(harness.Job{Experiment: harness.ExpTableII, Pairs: []string{"nonsense"}}, opts); err == nil {
 		t.Fatal("unknown workload must error")
 	}
 }
 
 func TestComputeSbitCosts(t *testing.T) {
-	c := ComputeSbitCosts(ExperimentOptions{})
+	c := harness.SbitCost(harness.Options{})
 	if c.L1Transfers != 1 || c.LLCTransfers != 64 {
 		t.Fatalf("transfers: %+v", c)
 	}

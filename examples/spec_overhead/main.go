@@ -21,31 +21,22 @@ func main() {
 	if len(os.Args) > 1 {
 		label = os.Args[1]
 	}
-	var pair workload.Pair
-	for _, p := range workload.SpecPairs() {
-		if p.Label == label {
-			pair = p
-		}
-	}
-	if pair.Label == "" {
-		log.Fatalf("unknown workload pair %q", label)
-	}
 	opts := harness.Options{InstrsPerProc: 300_000, WarmupInstrs: 250_000}
 	fmt.Printf("running %s (%d measured instructions per process after %d warmup)...\n\n",
 		label, opts.InstrsPerProc, opts.WarmupInstrs)
-	rows, err := harness.RunSpecPairs([]workload.Pair{pair}, opts)
+	tab, err := harness.RunJob(harness.Job{Experiment: harness.ExpTableII, Pairs: []string{label}}, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	row, paper := rows[0], workload.PaperTableII[label]
+	// One row in the Table II slice format: workload, normalized,
+	// mpki-base, mpki-tc, fa-l1i, fa-l1d, fa-llc.
+	row, paper := tab.Rows[0], workload.PaperTableII[label]
 
 	fmt.Printf("%-22s %12s %12s\n", "", "measured", "paper")
-	fmt.Printf("%-22s %12.4f %12.4f\n", "normalized exec time", row.Normalized, paper[0])
-	fmt.Printf("%-22s %12.4f %12.4f\n", "LLC MPKI (baseline)", row.MPKIBase, paper[1])
-	fmt.Printf("%-22s %12.4f %12.4f\n", "LLC MPKI (timecache)", row.MPKITC, paper[2])
+	fmt.Printf("%-22s %12s %12.4f\n", "normalized exec time", row[1], paper[0])
+	fmt.Printf("%-22s %12s %12.4f\n", "LLC MPKI (baseline)", row[2], paper[1])
+	fmt.Printf("%-22s %12s %12.4f\n", "LLC MPKI (timecache)", row[3], paper[2])
 	fmt.Println()
-	fmt.Printf("delayed first accesses: L1I %.4f, L1D %.4f, LLC %.4f MPKI\n",
-		row.FirstAccess.L1I, row.FirstAccess.L1D, row.FirstAccess.LLC)
-	fmt.Printf("s-bit bookkeeping     : %.4f%% of execution (shrinks with slice length;\n", row.BookkeepingPct)
-	fmt.Println("                        the paper reports ~0.02% at Linux-scale slices)")
+	fmt.Printf("delayed first accesses: L1I %s, L1D %s, LLC %s MPKI\n", row[4], row[5], row[6])
+	fmt.Println("s-bit bookkeeping share vs slice length: go run ./cmd/reproduce -only bookkeeping")
 }

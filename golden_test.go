@@ -233,15 +233,13 @@ func TestGoldenLLCSweepPoint(t *testing.T) {
 	}
 }
 
-// TestGoldenSnapshotForkModes pins, end to end, that where a leg's machine
+// TestGoldenReusedMachines pins, end to end, that where a leg's machine
 // comes from never shows in the results: the Table-II slice, the LLC-sweep
 // point, a defense ablation and a matrix slice with a runtime defense render
 // byte-identical CSVs on fresh machines and, run again on the same shared
 // pool, on the dirty machines the first run put back — and the Table-II and
-// LLC-sweep bytes match the checked-in goldens. (The name predates the
-// removal of warm-state snapshot/fork, DESIGN.md §13; it used to compare the
-// fork path against these same cold bytes.)
-func TestGoldenSnapshotForkModes(t *testing.T) {
+// LLC-sweep bytes match the checked-in goldens.
+func TestGoldenReusedMachines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}

@@ -1,19 +1,17 @@
 // Job dispatch: a declarative description of one experiment, attack, or
-// sweep run, decoupled from any CLI flag parsing, plus the renderers that
-// turn results into tables. cmd/reproduce, the HTTP job service
-// (internal/server) and the golden tests all funnel through this layer, so
-// a job submitted over the network is byte-identical to one run from the
-// CLI.
+// sweep run, decoupled from any CLI flag parsing, and RunJob, which runs
+// it. cmd/reproduce, the HTTP job service (internal/server) and the golden
+// tests all funnel through this layer, so a job submitted over the network
+// is byte-identical to one run from the CLI.
 package harness
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
-	"timecache/internal/attack"
-	"timecache/internal/cache"
 	"timecache/internal/defense"
+	"timecache/internal/machine"
+	"timecache/internal/runner"
 	"timecache/internal/stats"
 	"timecache/internal/workload"
 )
@@ -31,10 +29,20 @@ const (
 
 // Experiments lists the dispatchable experiment names, sorted.
 func Experiments() []string {
-	out := []string{ExpTableII, ExpParsec, ExpLLCSweep, ExpAblation, ExpBookkeeping, ExpSecurity, ExpMatrix}
+	out := make([]string, 0, len(experiments))
+	for name := range experiments {
+		out = append(out, name)
+	}
 	sort.Strings(out)
 	return out
 }
+
+// MaxLLCSize caps every LLC size a job may request (64 MB, 16× the largest
+// Fig. 10 point). The simulated LLC allocates its lines and s-bits up front
+// (a 64 MB LLC machine holds ~57 MB of heap), so an unbounded size would let
+// one spec exhaust the host's memory. Sizes must also be whole KB, the LLC's
+// way×line granularity.
+const MaxLLCSize = 64 << 20
 
 // Job describes one dispatchable run. Zero-valued selection fields fall back
 // to each experiment's full default set, so {Experiment: "table2"} runs the
@@ -72,12 +80,21 @@ type Job struct {
 	AttackBits int
 }
 
-// Validate checks the job before it is queued: the experiment must exist and
-// every named pair/workload must resolve. It is intentionally strict so the
-// job service can reject bad specs with a 400 instead of failing at run time.
+// Validate checks the job before it is queued: the experiment must exist,
+// every named pair/workload must resolve, and every sweep point must be in
+// range. It is intentionally strict so the job service can reject bad specs
+// with a 400 instead of failing at run time.
 func (j Job) Validate() error {
 	switch j.Experiment {
-	case ExpTableII, ExpLLCSweep:
+	case ExpTableII:
+		_, err := selectPairs(j.Pairs)
+		return err
+	case ExpLLCSweep:
+		for _, size := range j.LLCSizes {
+			if size <= 0 || size > MaxLLCSize || size%1024 != 0 {
+				return fmt.Errorf("harness: llc-sweep size %d bytes is not a whole number of KB in (0, %d]", size, MaxLLCSize)
+			}
+		}
 		_, err := selectPairs(j.Pairs)
 		return err
 	case ExpAblation:
@@ -99,7 +116,14 @@ func (j Job) Validate() error {
 			}
 		}
 		return nil
-	case ExpBookkeeping, ExpSecurity:
+	case ExpBookkeeping:
+		for _, slice := range j.SliceCycles {
+			if slice == 0 {
+				return fmt.Errorf("harness: bookkeeping slice lengths must be positive, got 0")
+			}
+		}
+		return nil
+	case ExpSecurity:
 		return nil
 	case ExpMatrix:
 		if _, err := selectPairs(j.Pairs); err != nil {
@@ -149,9 +173,12 @@ lookup:
 	return out, nil
 }
 
-// RunJob validates and runs a job, returning its rendered result table. The
-// run obeys opts.Ctx (cancellation, deadlines), draws machines from
-// opts.Pool when set, and reports opts.Progress after each completed leg.
+// RunJob validates and runs a job, returning its rendered result table. It
+// runs the job's legs (JobLegs) across opts.Jobs workers, each drawing
+// machines from opts.Pool when set or from its own pool otherwise, and
+// merges them with MergeLegTables — exactly the path the job service takes
+// one leg at a time. The run obeys opts.Ctx (cancellation, deadlines) and
+// reports opts.Progress after each completed leg.
 //
 // The job is canonicalized first (Canonical is the single source of truth
 // for every defaulted selection), so the result depends only on the
@@ -162,28 +189,16 @@ func RunJob(j Job, opts Options) (*stats.Table, error) {
 		return nil, err
 	}
 	j = j.Canonical()
-	switch j.Experiment {
-	case ExpTableII:
-		pairs, _ := selectPairs(j.Pairs)
-		return TableIITable(pairs, opts)
-	case ExpParsec:
-		return ParsecTable(j.Workloads, opts)
-	case ExpLLCSweep:
-		pairs, _ := selectPairs(j.Pairs)
-		return LLCSweepTable(j.LLCSizes, pairs, opts)
-	case ExpAblation:
-		pairs, _ := selectPairs(j.Pairs)
-		return AblationTable(pairs[0], opts)
-	case ExpBookkeeping:
-		return BookkeepingTable(j.SliceCycles, opts)
-	case ExpSecurity:
-		return SecurityTable(j.KeyBits, j.Seed, opts)
-	case ExpMatrix:
-		pairs, _ := selectPairs(j.Pairs)
-		return MatrixTable(j.Defenses, j.Attacks, pairs, j.AttackBits, j.Seed, opts)
+	n := experiments[j.Experiment].legs(j)
+	parts, err := runner.MapWorkersCtx(opts.ctx(), n, opts.pool(), opts.newPool, func(pool *machine.Pool, leg int) (*stats.Table, error) {
+		o := opts
+		o.Pool = pool
+		return RunJobLeg(j, leg, o)
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Unreachable: Validate rejected everything else.
-	return nil, fmt.Errorf("harness: unknown experiment %q", j.Experiment)
+	return MergeLegTables(j, parts)
 }
 
 func samePairs(pairs []workload.Pair) []workload.Pair {
@@ -194,133 +209,4 @@ func samePairs(pairs []workload.Pair) []workload.Pair {
 		}
 	}
 	return out
-}
-
-// TableIITable runs the given pairs and renders them in the golden Table II
-// slice format (results/golden/table2_slice.csv): one row per pair with
-// normalized time, LLC MPKI under both modes, and per-level first-access
-// MPKI. The golden tests diff this exact rendering.
-func TableIITable(pairs []workload.Pair, opts Options) (*stats.Table, error) {
-	rows, err := RunSpecPairs(pairs, opts)
-	if err != nil {
-		return nil, err
-	}
-	tab := stats.NewTable("workload", "normalized", "mpki-base", "mpki-tc", "fa-l1i", "fa-l1d", "fa-llc")
-	for _, r := range rows {
-		tab.Add(r.Label, r.Normalized, r.MPKIBase, r.MPKITC,
-			r.FirstAccess.L1I, r.FirstAccess.L1D, r.FirstAccess.LLC)
-	}
-	return tab, nil
-}
-
-// ParsecTable runs the named PARSEC workloads and renders them in the Table
-// II slice format.
-func ParsecTable(names []string, opts Options) (*stats.Table, error) {
-	rows, err := RunParsecSet(names, opts)
-	if err != nil {
-		return nil, err
-	}
-	tab := stats.NewTable("workload", "normalized", "mpki-base", "mpki-tc", "fa-l1i", "fa-l1d", "fa-llc")
-	for _, r := range rows {
-		tab.Add(r.Label, r.Normalized, r.MPKIBase, r.MPKITC,
-			r.FirstAccess.L1I, r.FirstAccess.L1D, r.FirstAccess.LLC)
-	}
-	return tab, nil
-}
-
-// LLCSweepTable runs the Fig. 10 sweep over the given sizes and pairs and
-// renders it in the golden sweep format (results/golden/llc_sweep.csv).
-func LLCSweepTable(sizes []int, pairs []workload.Pair, opts Options) (*stats.Table, error) {
-	pts, err := RunLLCSensitivity(sizes, pairs, opts)
-	if err != nil {
-		return nil, err
-	}
-	tab := stats.NewTable("llc", "geomean-normalized", "overhead-pct")
-	for _, p := range pts {
-		tab.Add(fmt.Sprintf("%dKB", p.LLCSize>>10), p.GeoMeanNorm, p.OverheadPct)
-	}
-	return tab, nil
-}
-
-// AblationTable runs the defense ablation on one pair and renders one
-// normalized-time row per registered defense.
-func AblationTable(pair workload.Pair, opts Options) (*stats.Table, error) {
-	rows, err := RunDefenseAblation(pair, opts)
-	if err != nil {
-		return nil, err
-	}
-	tab := stats.NewTable("defense", "normalized-time")
-	for _, r := range rows {
-		tab.Add(r.Defense, r.Normalized)
-	}
-	return tab, nil
-}
-
-// BookkeepingTable runs the §VI-D slice-length scaling and renders one row
-// per slice length.
-func BookkeepingTable(slices []uint64, opts Options) (*stats.Table, error) {
-	pts, err := RunBookkeepingScaling(workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, slices, opts)
-	if err != nil {
-		return nil, err
-	}
-	tab := stats.NewTable("slice-cycles", "bookkeeping-pct", "total-overhead-pct")
-	for _, p := range pts {
-		tab.Add(fmt.Sprintf("%d", p.SliceCycles), p.BookkeepingPct, p.OverheadPct)
-	}
-	return tab, nil
-}
-
-// SecurityTable runs the §VI-A security evaluation (microbenchmark and RSA
-// flush+reload under baseline and TimeCache) and renders one row per run.
-// The four runs are short and sequential; Progress is reported after each.
-func SecurityTable(keyBits int, seed uint64, opts Options) (*stats.Table, error) {
-	opts = opts.withDefaults()
-	tab := stats.NewTable("experiment", "mode", "result")
-	modes := []cache.SecMode{cache.SecOff, cache.SecTimeCache}
-	total := 2 * len(modes)
-	done := 0
-	step := func() {
-		done++
-		if opts.Progress != nil {
-			opts.Progress(done, total)
-		}
-	}
-	// The attack scenarios own their machines internally, so these legs are
-	// accounted by count and span only (no kernel counters to read).
-	leg := func(name string, start time.Time) {
-		opts.Account.AddLeg()
-		if opts.Spans != nil {
-			opts.Spans.Span(name, "leg", start, opts.wallNow(), nil)
-		}
-	}
-	for _, mode := range modes {
-		if err := opts.ctx().Err(); err != nil {
-			return nil, err
-		}
-		start := opts.legStart()
-		mb, err := attack.RunMicrobenchmark(mode)
-		if err != nil {
-			return nil, err
-		}
-		leg("microbenchmark/"+mode.String(), start)
-		tab.Add("microbenchmark (§VI-A1)", mode.String(),
-			fmt.Sprintf("%d/%d lines hit", mb.Hits, mb.Lines))
-		step()
-	}
-	for _, mode := range modes {
-		if err := opts.ctx().Err(); err != nil {
-			return nil, err
-		}
-		start := opts.legStart()
-		rsa, err := attack.RunRSA(mode, keyBits, seed)
-		if err != nil {
-			return nil, err
-		}
-		leg("rsa/"+mode.String(), start)
-		tab.Add("RSA flush+reload (§VI-A2)", mode.String(),
-			fmt.Sprintf("%.0f%% of key bits, %d hits, victim correct=%v",
-				rsa.Accuracy*100, rsa.Hits, rsa.VictimCorrect))
-		step()
-	}
-	return tab, nil
 }

@@ -53,7 +53,8 @@ const (
 	defaultSeed    = 12345
 )
 
-// defaultAblationPair is the pair RunDefenseAblation uses when none is named.
+// defaultAblationPair is the pair the ablation and the matrix run when none
+// is named.
 const defaultAblationPair = "2Xgobmk"
 
 // defaultAttackBits is the matrix experiment's default secret length.

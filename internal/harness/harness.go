@@ -46,23 +46,21 @@ type Options struct {
 	// configured output paths are suffixed with the workload label and mode
 	// so one config fans out over a whole sweep.
 	Telemetry *telemetry.Config
-	// Jobs is the number of simulation runs executed concurrently by the
-	// sweep entry points (RunSpecPairs, RunParsecSet, RunLLCSensitivity,
-	// RunDefenseAblation, RunBookkeepingScaling). Each run builds its own
-	// machine, so results are bit-identical to sequential execution; see
-	// internal/runner. Zero or negative selects runtime.GOMAXPROCS(0);
-	// 1 is strictly sequential.
+	// Jobs is the number of legs RunJob runs concurrently. Each leg builds
+	// or resets its own machines, so results are bit-identical to sequential
+	// execution; see internal/runner. Zero or negative selects
+	// runtime.GOMAXPROCS(0); 1 is strictly sequential. RunJobLeg ignores it.
 	Jobs int
-	// Progress, when non-nil, is called after each completed run of a sweep
+	// Progress, when non-nil, is called by RunJob after each completed leg
 	// with (done, total). Calls are serialized.
 	Progress func(done, total int)
 	// Ctx, when non-nil, bounds every run: cancellation stops the simulated
 	// machine within a few thousand instructions and surfaces as Ctx.Err()
-	// from the sweep entry point. Nil means never cancelled.
+	// from RunJob or RunJobLeg. Nil means never cancelled.
 	Ctx context.Context
 	// Pool, when non-nil, supplies (and receives back) the machines for
 	// every run instead of per-worker private pools. machine.Pool is safe
-	// for concurrent use, so one pool may serve a whole sweep — the job
+	// for concurrent use, so one pool may serve a whole job — the job
 	// service shares one pool per service worker across all its jobs.
 	Pool *machine.Pool
 	// Spans, when non-nil, receives one wall-clock span per simulated
@@ -156,6 +154,16 @@ func (o Options) finishLeg(name string, start time.Time, k *kernel.Kernel) {
 			"sim_cycles":   m.cycles,
 			"instructions": m.instrs,
 		})
+	}
+}
+
+// finishAttackLeg accounts one attack run. The attack scenarios assemble
+// their own machines, so there are no kernel counters to read: only the leg
+// count and the span.
+func (o Options) finishAttackLeg(name string, start time.Time) {
+	o.Account.AddLeg()
+	if o.Spans != nil {
+		o.Spans.Span(name, "leg", start, o.wallNow(), nil)
 	}
 }
 
@@ -455,18 +463,6 @@ func runSpecPair(pool *machine.Pool, pair workload.Pair, opts Options) (PairResu
 	return result(pair.Label, mb, mt), nil
 }
 
-// RunSpecPairs measures a selection of Fig. 7 / Table II pairs (Figures 7
-// and 8 and the SPEC half of Table II). Pairs are fully independent, so they
-// fan out across Options.Jobs workers with results in request order; each
-// worker reuses one pooled machine per configuration (Reset between runs)
-// instead of rebuilding.
-func RunSpecPairs(pairs []workload.Pair, opts Options) ([]PairResult, error) {
-	opts = opts.withDefaults()
-	return runner.MapWorkersCtx(opts.ctx(), len(pairs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (PairResult, error) {
-		return runSpecPair(pool, pairs[i], opts)
-	})
-}
-
 // runParsecOnce runs one 2-thread/2-core PARSEC workload on a machine from
 // pool (nil builds fresh).
 func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Options) (measurement, error) {
@@ -516,155 +512,23 @@ func runParsec(pool *machine.Pool, name string, opts Options) (PairResult, error
 	return result(name, mb, mt), nil
 }
 
-// RunParsecSet measures a selection of Fig. 9 workloads (Figures 9a/9b and
-// the PARSEC rows of Table II), fanned out across Options.Jobs workers with
-// pooled machines.
-func RunParsecSet(names []string, opts Options) ([]PairResult, error) {
-	opts = opts.withDefaults()
-	return runner.MapWorkersCtx(opts.ctx(), len(names), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (PairResult, error) {
-		return runParsec(pool, names[i], opts)
-	})
-}
-
-// SensitivityPoint is one Fig. 10 sweep point.
-type SensitivityPoint struct {
-	LLCSize     int
-	GeoMeanNorm float64
-	OverheadPct float64
-}
-
-// RunLLCSensitivity reproduces Fig. 10: geometric-mean overhead of the
-// same-benchmark pairs at each LLC size. The whole size×pair grid is
-// flattened into one job list so small sweeps still saturate the pool, and
-// each worker keeps one machine per (mode, LLC size) shape, Reset between
-// runs, instead of rebuilding the hierarchy per grid cell.
-func RunLLCSensitivity(sizes []int, pairs []workload.Pair, opts Options) ([]SensitivityPoint, error) {
-	opts = opts.withDefaults()
-	norms, err := runner.MapWorkersCtx(opts.ctx(), len(sizes)*len(pairs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (float64, error) {
-		o := opts
-		o.LLCSize = sizes[i/len(pairs)]
-		r, err := runSpecPair(pool, pairs[i%len(pairs)], o)
-		if err != nil {
-			return 0, err
-		}
-		return r.Normalized, nil
-	})
+// runDefensePair runs one Fig. 7 pair under a defense registry kind on the
+// baseline machine shape and returns its steady-state cycles; the ablation
+// and the matrix's slowdown columns normalize them against the "none" run.
+// labelSuffix names the run's span ("<pair>/<suffix>").
+func runDefensePair(pool *machine.Pool, pair workload.Pair, kind, labelSuffix string, opts Options) (uint64, error) {
+	frames, err := specFrames(pair)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	var out []SensitivityPoint
-	for si, size := range sizes {
-		gm := stats.GeoMean(norms[si*len(pairs) : (si+1)*len(pairs)])
-		out = append(out, SensitivityPoint{LLCSize: size, GeoMeanNorm: gm, OverheadPct: stats.OverheadPct(gm)})
-	}
-	return out, nil
-}
-
-// DefenseResult is one row of the defense-ablation comparison.
-type DefenseResult struct {
-	Defense    string
-	Normalized float64
-}
-
-// ablationConfig names one ablation row: the registry kind that configures
-// the machine and the row's display name.
-type ablationConfig struct {
-	name string
-	kind string
-}
-
-// ablationConfigs enumerates the defense registry in canonical order under
-// the ablation's historical row names ("baseline" for none, "partitioned"
-// for dawg-lite; the rest display their registry kind).
-func ablationConfigs() []ablationConfig {
-	out := make([]ablationConfig, 0, len(defense.Kinds()))
-	for _, kind := range defense.Kinds() {
-		name := kind
-		switch kind {
-		case defense.None:
-			name = "baseline"
-		case defense.DAWGLite:
-			name = "partitioned"
-		}
-		out = append(out, ablationConfig{name: name, kind: kind})
-	}
-	return out
-}
-
-// RunDefenseAblation compares the overhead of TimeCache against the
-// alternative defenses DESIGN.md catalogs (FTM, DAWG-lite way partitioning,
-// flush-on-context-switch) on one workload pair.
-func RunDefenseAblation(pair workload.Pair, opts Options) ([]DefenseResult, error) {
-	opts = opts.withDefaults()
-	pa, err := workload.Spec(pair.A)
+	mcfg := machineConfig(cache.SecOff, 1, opts, frames)
+	mcfg.Defense = kind
+	l, err := specLeg(pair, mcfg, labelSuffix, opts, nil)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	pb, err := workload.Spec(pair.B)
-	if err != nil {
-		return nil, err
-	}
-	frames := workload.FramesNeeded(pa) + workload.FramesNeeded(pb) + 1024
-
-	// The rows come from the defense registry: the historical display names
-	// are kept for the first five (their kinds configure machines identical
-	// to the legacy mode/flag spellings), and the runtime defenses the
-	// registry added (clepsydra, fase) ride along as extra rows.
-	configs := ablationConfigs()
-	// Each defense configuration is an independent machine; run them all
-	// concurrently and normalize against the baseline's cycles afterwards.
-	cyclesFor, err := runner.MapWorkersCtx(opts.ctx(), len(configs), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (uint64, error) {
-		cfgDef := configs[i]
-		mcfg := machineConfig(cache.SecOff, 1, opts, frames)
-		mcfg.Mode, mcfg.Defense = cache.SecOff, cfgDef.kind
-		l, err := specLeg(pair, mcfg, cfgDef.name, opts, nil)
-		if err != nil {
-			return 0, err
-		}
-		m, err := runLeg(pool, opts, l)
-		if err != nil {
-			return 0, err
-		}
-		return m.cycles, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	baseline := cyclesFor[0] // configs[0] is the baseline
-	var out []DefenseResult
-	for i, cfgDef := range configs {
-		out = append(out, DefenseResult{Defense: cfgDef.name, Normalized: stats.Normalized(cyclesFor[i], baseline)})
-	}
-	return out, nil
-}
-
-// BookkeepingPoint relates scheduler time-slice length to the share of
-// execution time spent on s-bit save/restore.
-type BookkeepingPoint struct {
-	SliceCycles    uint64
-	BookkeepingPct float64
-	OverheadPct    float64
-}
-
-// RunBookkeepingScaling reproduces the §VI-D argument quantitatively: the
-// fixed per-switch DMA cost (1.08 µs = 2160 cycles at 2 GHz) shrinks as a
-// fraction of execution time as the time slice grows toward realistic
-// 1–10 ms scheduler quanta, converging on the paper's ~0.02% figure.
-func RunBookkeepingScaling(pair workload.Pair, slices []uint64, opts Options) ([]BookkeepingPoint, error) {
-	opts = opts.withDefaults()
-	return runner.MapWorkersCtx(opts.ctx(), len(slices), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (BookkeepingPoint, error) {
-		o := opts
-		o.SliceCycles = slices[i]
-		r, err := runSpecPair(pool, pair, o)
-		if err != nil {
-			return BookkeepingPoint{}, err
-		}
-		return BookkeepingPoint{
-			SliceCycles:    slices[i],
-			BookkeepingPct: r.BookkeepingPct,
-			OverheadPct:    stats.OverheadPct(r.Normalized),
-		}, nil
-	})
+	m, err := runLeg(pool, opts, l)
+	return m.cycles, err
 }
 
 // SbitCostBreakdown quantifies §VI-D: how many transfers one switch needs

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 
 	"timecache/internal/machine"
+	"timecache/internal/stats"
 	"timecache/internal/telemetry"
 	"timecache/internal/workload"
 )
@@ -14,15 +17,9 @@ func smallOpts() Options {
 	return Options{InstrsPerProc: 60_000, WarmupInstrs: 120_000}
 }
 
-// runPair measures one pair exactly as RunSpecPairs measures each of its
-// pairs: on opts.Pool when set, else on fresh machines.
-func runPair(pair workload.Pair, opts Options) (PairResult, error) {
-	return runSpecPair(opts.Pool, pair, opts)
-}
-
 func TestRunSpecPairProducesSaneRow(t *testing.T) {
 	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
-	r, err := runPair(pair, smallOpts())
+	r, err := runSpecPair(nil, pair, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +45,11 @@ func TestRunSpecPairProducesSaneRow(t *testing.T) {
 }
 
 func TestStreamingPairHasHigherMPKI(t *testing.T) {
-	low, err := runPair(workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, smallOpts())
+	low, err := runSpecPair(nil, workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := runPair(workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}, smallOpts())
+	high, err := runSpecPair(nil, workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,34 +75,50 @@ func TestRunParsecNoL1FirstAccesses(t *testing.T) {
 	}
 }
 
-func TestLLCSensitivityTrend(t *testing.T) {
-	pairs := []workload.Pair{
-		{Label: "2Xwrf", A: "wrf", B: "wrf"},
-		{Label: "2Xperlbench", A: "perlbench", B: "perlbench"},
+// column parses a rendered table's named column as floats.
+func column(t *testing.T, tab *stats.Table, name string) []float64 {
+	t.Helper()
+	c := slices.Index(tab.Header, name)
+	if c < 0 {
+		t.Fatalf("no column %q in %v", name, tab.Header)
 	}
-	pts, err := RunLLCSensitivity([]int{512 << 10, 2 << 20}, pairs, smallOpts())
+	out := make([]float64, len(tab.Rows))
+	for i, row := range tab.Rows {
+		v, err := strconv.ParseFloat(row[c], 64)
+		if err != nil {
+			t.Fatalf("row %d %s: %v", i, name, err)
+		}
+		out[i] = v
+	}
+	return out
+}
+
+func TestLLCSensitivityTrend(t *testing.T) {
+	tab, err := RunJob(Job{Experiment: ExpLLCSweep, Pairs: []string{"2Xwrf", "2Xperlbench"},
+		LLCSizes: []int{512 << 10, 2 << 20}}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("got %d points", len(pts))
+	overhead := column(t, tab, "overhead-pct")
+	if len(overhead) != 2 {
+		t.Fatalf("got %d points", len(overhead))
 	}
 	// Fig. 10: overhead shrinks with LLC size (fewer evictions of shared
 	// lines means fewer first accesses).
-	if pts[1].OverheadPct > pts[0].OverheadPct+0.05 {
+	if overhead[1] > overhead[0]+0.05 {
 		t.Fatalf("2MB overhead (%.3f%%) should not exceed 512KB overhead (%.3f%%)",
-			pts[1].OverheadPct, pts[0].OverheadPct)
+			overhead[1], overhead[0])
 	}
 }
 
 func TestDefenseAblationOrdering(t *testing.T) {
-	rows, err := RunDefenseAblation(workload.Pair{Label: "2Xgobmk", A: "gobmk", B: "gobmk"}, smallOpts())
+	tab, err := RunJob(Job{Experiment: ExpAblation, Pairs: []string{"2Xgobmk"}}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	norm := map[string]float64{}
-	for _, r := range rows {
-		norm[r.Defense] = r.Normalized
+	for i, v := range column(t, tab, "normalized-time") {
+		norm[tab.Rows[i][0]] = v
 	}
 	if norm["baseline"] != 1.0 {
 		t.Fatalf("baseline must normalize to 1.0, got %v", norm["baseline"])
@@ -126,15 +139,13 @@ func TestDefenseAblationOrdering(t *testing.T) {
 }
 
 func TestBookkeepingScalesDownWithSlice(t *testing.T) {
-	pts, err := RunBookkeepingScaling(
-		workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"},
-		[]uint64{100_000, 400_000}, smallOpts())
+	tab, err := RunJob(Job{Experiment: ExpBookkeeping, SliceCycles: []uint64{100_000, 400_000}}, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[1].BookkeepingPct >= pts[0].BookkeepingPct {
-		t.Fatalf("longer slices must shrink bookkeeping share: %.4f%% -> %.4f%%",
-			pts[0].BookkeepingPct, pts[1].BookkeepingPct)
+	pct := column(t, tab, "bookkeeping-pct")
+	if pct[1] >= pct[0] {
+		t.Fatalf("longer slices must shrink bookkeeping share: %.4f%% -> %.4f%%", pct[0], pct[1])
 	}
 }
 
@@ -155,13 +166,13 @@ func TestSbitCostMatchesPaper(t *testing.T) {
 func TestGateLevelMatchesFastPath(t *testing.T) {
 	pair := workload.Pair{Label: "2Xspecrand", A: "specrand", B: "specrand"}
 	opts := Options{InstrsPerProc: 30_000, WarmupInstrs: 50_000}
-	fast, err := runPair(pair, opts)
+	fast, err := runSpecPair(nil, pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gopts := opts
 	gopts.GateLevel = true
-	gate, err := runPair(pair, gopts)
+	gate, err := runSpecPair(nil, pair, gopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,45 +186,38 @@ func TestGateLevelMatchesFastPath(t *testing.T) {
 	}
 }
 
-// The tests below pin what the removed snapshot shelf used to be checked
-// against and still holds (DESIGN.md §13 explains why there is no
-// snapshot/fork): every leg runs cold on a fresh or reset machine, so where
-// its machine comes from, and whether telemetry watches it, never changes a
-// result, and the pool's snapshot counters stay 0.
+// The tests below pin that every leg runs cold on a fresh or reset machine:
+// where its machine comes from, and whether telemetry watches it, never
+// changes a result.
 
-// TestSnapshotShelfReuse: two identical legs on one shared pool produce
-// identical results; the second runs on the machines the first put back,
-// and nothing is served from a snapshot shelf.
-func TestSnapshotShelfReuse(t *testing.T) {
+// TestPoolReuseKeepsResults: the same pair run twice on one shared pool
+// gives the exact same result; the second run reuses the two machines
+// (baseline, timecache) the first put back.
+func TestPoolReuseKeepsResults(t *testing.T) {
 	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
 	pool := machine.NewPool()
 	opts := smallOpts()
 	opts.Pool = pool
 
-	first, err := runPair(pair, opts)
+	first, err := runSpecPair(pool, pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := runPair(pair, opts)
+	second, err := runSpecPair(pool, pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != second {
 		t.Fatalf("rerun on reused machines diverged:\n first %+v\nsecond %+v", first, second)
 	}
-	s := pool.Stats()
-	// The second run's two legs (baseline, timecache) both reuse a machine.
-	if s.Hits != 2 {
-		t.Fatalf("pool hits = %d, want 2 (both legs reused a machine): %+v", s.Hits, s)
-	}
-	if s.SnapshotHits != 0 || s.SnapshotMisses != 0 {
-		t.Fatalf("snapshot counters moved: %+v", s)
+	if s := pool.Stats(); s.Hits != 2 {
+		t.Fatalf("pool hits = %d, want 2 (both runs reused a machine): %+v", s.Hits, s)
 	}
 }
 
 // TestMachineSourcesAgree runs one pair on every machine source a leg can
 // have — private fresh machines, an empty shared pool, the same pool again
-// with dirty machines in it, and a parallel sweep — and requires identical
+// with dirty machines in it, and a parallel RunJob — and requires identical
 // results.
 func TestMachineSourcesAgree(t *testing.T) {
 	pair := workload.Pair{Label: "2Xlbm", A: "lbm", B: "lbm"}
@@ -222,7 +226,7 @@ func TestMachineSourcesAgree(t *testing.T) {
 	var results []PairResult
 	run := func(opts Options) {
 		t.Helper()
-		r, err := runPair(pair, opts)
+		r, err := runSpecPair(opts.Pool, pair, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,42 +237,56 @@ func TestMachineSourcesAgree(t *testing.T) {
 	shared.Pool = machine.NewPool()
 	run(shared)
 	run(shared)
-	par := base
-	par.Jobs = 2
-	rows, err := RunSpecPairs([]workload.Pair{pair, pair}, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results = append(results, rows...)
 	for i, got := range results[1:] {
 		if got != results[0] {
 			t.Fatalf("result %d diverged from the private-machine run:\n got %+v\nwant %+v", i+1, got, results[0])
 		}
 	}
-}
-
-// TestSnapshotTelemetryForcesCold: a telemetry collector observes the whole
-// run including warmup; attaching one must not change the result, and the
-// pool's snapshot counters stay 0.
-func TestSnapshotTelemetryForcesCold(t *testing.T) {
-	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
-	plain, err := runPair(pair, smallOpts())
+	par := base
+	par.Jobs = 2
+	tab, err := RunJob(Job{Experiment: ExpTableII, Pairs: []string{pair.Label, pair.Label}}, par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := machine.NewPool()
-	opts := smallOpts()
-	opts.Pool = pool
-	opts.Telemetry = &telemetry.Config{}
+	want := stats.NewTable(pairHeader...)
+	want.Add(pairRow(results[0])...)
+	want.Add(pairRow(results[0])...)
+	if tab.CSV() != want.CSV() {
+		t.Fatalf("parallel RunJob diverged from the private-machine run:\n got %s\nwant %s", tab.CSV(), want.CSV())
+	}
+}
 
-	got, err := runPair(pair, opts)
+// TestTelemetryKeepsResults: a telemetry collector observes the whole run
+// including warmup; attaching one must not change the exact result — cycle
+// counts, bookkeeping share and context switches included — nor the
+// rendered leg.
+func TestTelemetryKeepsResults(t *testing.T) {
+	pair := workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
+	plain, err := runSpecPair(nil, pair, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := smallOpts()
+	opts.Pool = machine.NewPool()
+	opts.Telemetry = &telemetry.Config{}
+	got, err := runSpecPair(opts.Pool, pair, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != plain {
 		t.Fatalf("telemetry run diverged:\n got %+v\nwant %+v", got, plain)
 	}
-	if s := pool.Stats(); s.SnapshotHits != 0 || s.SnapshotMisses != 0 {
-		t.Fatalf("telemetry run moved the snapshot counters: %+v", s)
+
+	job := Job{Experiment: ExpTableII, Pairs: []string{pair.Label}}
+	plainLeg, err := RunJobLeg(job, 0, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLeg, err := RunJobLeg(job, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotLeg.CSV() != plainLeg.CSV() {
+		t.Fatalf("telemetry leg diverged:\n got %s\nwant %s", gotLeg.CSV(), plainLeg.CSV())
 	}
 }

@@ -8,13 +8,14 @@ package harness
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"timecache/internal/attack"
 	"timecache/internal/cache"
 	"timecache/internal/defense"
 	"timecache/internal/machine"
 	"timecache/internal/replacement"
-	"timecache/internal/runner"
 	"timecache/internal/stats"
 	"timecache/internal/workload"
 )
@@ -77,8 +78,8 @@ func matrixAttackByName(name string) *matrixAttack {
 	return nil
 }
 
-// matrixCell is one unit of matrix work: an attack mounted under a defense
-// (attack != "") or a workload pair run under a defense for the overhead
+// matrixCell is one matrix leg: an attack mounted under a defense
+// (attack != "") or a workload pair run under a defense for the slowdown
 // columns (attack == "").
 type matrixCell struct {
 	defense string
@@ -86,140 +87,116 @@ type matrixCell struct {
 	pair    workload.Pair
 }
 
-// MatrixTable runs the defenses×(attacks ∪ pairs) grid and renders it with
-// one row per defense: a leaked-bits column per attack (the binary-channel
-// capacity of the attacker's recovery, 0 = defended) and a normalized-
-// slowdown column per workload pair (against the "none" baseline, which is
-// run implicitly when not among the requested rows). Cells are fanned out
-// across opts.Jobs workers in flat declaration order, so -j1 and -jN render
-// byte-identical tables.
-func MatrixTable(defenses, attacks []string, pairs []workload.Pair, attackBits int, seed uint64, opts Options) (*stats.Table, error) {
-	opts = opts.withDefaults()
-
-	// The overhead columns normalize against "none"; run its legs even when
-	// the row was not requested.
-	perfDefs := defenses
-	if !containsString(defenses, defense.None) {
-		perfDefs = append([]string{defense.None}, defenses...)
+// column names the result column the cell's raw value feeds.
+func (c matrixCell) column() string {
+	if c.attack != "" {
+		return "bits-" + c.attack
 	}
+	return "slowdown-" + c.pair.Label
+}
 
-	cells := make([]matrixCell, 0, len(defenses)*len(attacks)+len(perfDefs)*len(pairs))
-	for _, d := range defenses {
-		for _, a := range attacks {
+// perfDefenses are the defenses a canonical matrix job runs its pairs
+// under: the requested rows, preceded by the "none" baseline the slowdown
+// columns normalize against when it was not requested.
+func perfDefenses(j Job) []string {
+	if slices.Contains(j.Defenses, defense.None) {
+		return j.Defenses
+	}
+	return append([]string{defense.None}, j.Defenses...)
+}
+
+// matrixCells lists a canonical matrix job's legs in flat order: the attack
+// block (defense-major), then the perf block (perfDefenses-major).
+func matrixCells(j Job) []matrixCell {
+	perfDefs := perfDefenses(j)
+	cells := make([]matrixCell, 0, len(j.Defenses)*len(j.Attacks)+len(perfDefs)*len(j.Pairs))
+	for _, d := range j.Defenses {
+		for _, a := range j.Attacks {
 			cells = append(cells, matrixCell{defense: d, attack: a})
 		}
 	}
 	for _, d := range perfDefs {
-		for _, p := range pairs {
-			cells = append(cells, matrixCell{defense: d, pair: p})
+		for _, p := range j.Pairs {
+			cells = append(cells, matrixCell{defense: d, pair: pairOf(p)})
 		}
 	}
+	return cells
+}
 
-	vals, err := runner.MapWorkersCtx(opts.ctx(), len(cells), opts.pool(), opts.newPool, func(pool *machine.Pool, i int) (float64, error) {
-		c := cells[i]
-		if c.attack != "" {
-			return runMatrixAttack(c.defense, c.attack, attackBits, seed, opts)
+// runMatrixLeg runs matrix cell i: an attack cell yields the attacker's
+// bit-recovery accuracy, a perf cell the pair's cycles under the defense.
+func runMatrixLeg(j Job, i int, pool *machine.Pool, opts Options) ([]any, error) {
+	c := matrixCells(j)[i]
+	if c.attack != "" {
+		start := opts.legStart()
+		cfg := machineConfig(cache.SecOff, 1, opts, 0)
+		cfg.Defense = c.defense
+		acc, err := matrixAttackByName(c.attack).run(cfg, j.AttackBits, j.Seed)
+		if err != nil {
+			return nil, err
 		}
-		return runMatrixPerf(pool, c.defense, c.pair, opts)
-	})
-	if err != nil {
-		return nil, err
+		opts.finishAttackLeg("matrix/"+c.defense+"/"+c.attack, start)
+		return []any{c.defense, c.column(), strconv.FormatFloat(acc, 'g', -1, 64)}, nil
+	}
+	cycles, err := runDefensePair(pool, c.pair, c.defense, "matrix-"+c.defense, opts)
+	return []any{c.defense, c.column(), cycles}, err
+}
+
+// reduceMatrix renders the grid with one row per requested defense: a
+// leaked-bits column per attack (the binary-channel capacity of the
+// attacker's recovery, 0 = defended) and a normalized-slowdown column per
+// workload pair (against the "none" cells).
+func reduceMatrix(j Job, rows [][]string) (*stats.Table, error) {
+	cells := matrixCells(j)
+	vals := make([]float64, len(cells))
+	for i, c := range cells {
+		row := rows[i]
+		if row[0] != c.defense || row[1] != c.column() {
+			return nil, fmt.Errorf("harness: matrix leg %d is %s/%s, want %s/%s", i, row[0], row[1], c.defense, c.column())
+		}
+		if c.attack != "" {
+			acc, err := strconv.ParseFloat(row[2], 64)
+			if err != nil {
+				return nil, fmt.Errorf("harness: matrix leg %d accuracy: %w", i, err)
+			}
+			vals[i] = acc
+			continue
+		}
+		cycles, err := rawUint(row[2])
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = float64(cycles)
 	}
 
 	header := []string{"defense"}
-	for _, a := range attacks {
+	for _, a := range j.Attacks {
 		header = append(header, "bits-"+a)
 	}
-	for _, p := range pairs {
-		header = append(header, "slowdown-"+p.Label)
+	for _, p := range j.Pairs {
+		header = append(header, "slowdown-"+p)
 	}
 	tab := stats.NewTable(header...)
 
-	// vals is laid out exactly as cells was: the attack block (defense-major)
-	// then the perf block (perfDefs-major).
-	perfBase := len(defenses) * len(attacks)
-	baseline := func(pi int) float64 {
-		for di, d := range perfDefs {
-			if d == defense.None {
-				return vals[perfBase+di*len(pairs)+pi]
-			}
-		}
-		return 0 // unreachable: perfDefs always contains "none"
-	}
-	for di, d := range defenses {
+	perfDefs := perfDefenses(j)
+	perfBase := len(j.Defenses) * len(j.Attacks)
+	perf := func(di, pi int) float64 { return vals[perfBase+di*len(j.Pairs)+pi] }
+	none := slices.Index(perfDefs, defense.None)
+	for di, d := range j.Defenses {
 		row := make([]any, 0, len(header))
 		row = append(row, d)
-		for ai := range attacks {
-			row = append(row, stats.BinaryChannelBits(attackBits, vals[di*len(attacks)+ai]))
+		for ai := range j.Attacks {
+			row = append(row, stats.BinaryChannelBits(j.AttackBits, vals[di*len(j.Attacks)+ai]))
 		}
-		pdi := indexOfString(perfDefs, d)
-		for pi := range pairs {
-			cycles := vals[perfBase+pdi*len(pairs)+pi]
-			base := baseline(pi)
+		pdi := slices.Index(perfDefs, d)
+		for pi, p := range j.Pairs {
+			base := perf(none, pi)
 			if base == 0 {
-				return nil, fmt.Errorf("harness: matrix baseline run of %s produced zero cycles", pairs[pi].Label)
+				return nil, fmt.Errorf("harness: matrix baseline run of %s produced zero cycles", p)
 			}
-			row = append(row, cycles/base)
+			row = append(row, perf(pdi, pi)/base)
 		}
 		tab.Add(row...)
 	}
 	return tab, nil
-}
-
-// runMatrixAttack mounts one attack under one defense. The attack scenarios
-// assemble their own machines, so the leg is accounted by count and span
-// only, mirroring SecurityTable.
-func runMatrixAttack(def, att string, bits int, seed uint64, opts Options) (float64, error) {
-	a := matrixAttackByName(att)
-	if a == nil {
-		return 0, fmt.Errorf("harness: unknown attack %q (want one of %v)", att, MatrixAttacks())
-	}
-	start := opts.legStart()
-	cfg := machineConfig(cache.SecOff, 1, opts, 0)
-	cfg.Defense = def
-	acc, err := a.run(cfg, bits, seed)
-	if err != nil {
-		return 0, err
-	}
-	opts.Account.AddLeg()
-	if opts.Spans != nil {
-		opts.Spans.Span("matrix/"+def+"/"+att, "leg", start, opts.wallNow(), nil)
-	}
-	return acc, nil
-}
-
-// runMatrixPerf runs one workload pair under one defense and returns its
-// measured cycles (the caller normalizes against the "none" cell).
-func runMatrixPerf(pool *machine.Pool, def string, pair workload.Pair, opts Options) (float64, error) {
-	pa, err := workload.Spec(pair.A)
-	if err != nil {
-		return 0, err
-	}
-	pb, err := workload.Spec(pair.B)
-	if err != nil {
-		return 0, err
-	}
-	frames := workload.FramesNeeded(pa) + workload.FramesNeeded(pb) + 1024
-	mcfg := machineConfig(cache.SecOff, 1, opts, frames)
-	mcfg.Defense = def
-	l, err := specLeg(pair, mcfg, "matrix-"+def, opts, nil)
-	if err != nil {
-		return 0, err
-	}
-	m, err := runLeg(pool, opts, l)
-	if err != nil {
-		return 0, err
-	}
-	return float64(m.cycles), nil
-}
-
-func containsString(ss []string, s string) bool { return indexOfString(ss, s) >= 0 }
-
-func indexOfString(ss []string, s string) int {
-	for i, x := range ss {
-		if x == s {
-			return i
-		}
-	}
-	return -1
 }

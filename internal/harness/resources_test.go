@@ -29,7 +29,7 @@ func TestResourceAccountOnRun(t *testing.T) {
 		account := &ResourceAccount{}
 		opts := smallOpts()
 		opts.Account = account
-		if _, err := runPair(pair, opts); err != nil {
+		if _, err := runSpecPair(nil, pair, opts); err != nil {
 			t.Fatal(err)
 		}
 		return account.Snapshot()

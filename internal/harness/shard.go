@@ -1,41 +1,111 @@
-// Leg sharding: every experiment a Job can dispatch is an index-addressed
-// list of independent legs whose rendered rows concatenate positionally into
-// the full table (the sweeps already run exactly this way internally, via
-// runner.MapWorkersCtx). JobLegs / RunJobLeg / MergeLegTables expose that
-// structure so a coordinator can schedule the legs of one job across many
-// executors — worker goroutines, separate worker processes, or a mix — and
-// reassemble a byte-identical result: stats.Table rows are pre-rendered
-// strings, each leg's rows depend only on the canonical job and the leg
-// index, and the merge is a positional concatenation.
+// Experiments as legs: every experiment a Job can dispatch is an ordered
+// list of independent legs plus one reduce step. A leg runs one unit of
+// simulation on one machine pool and renders exactly one row under the
+// experiment's leg header; MergeLegTables reduces the rows, in leg order,
+// to the result table. RunJob runs every leg in process and merges; the job
+// service leases the same legs to executors — worker goroutines, separate
+// worker processes, or a mix — and merges with the same function, so both
+// paths run the same simulations and render the same bytes. A leg's row
+// depends only on the canonical job and the leg index, never on which
+// process or pool ran it.
 //
 // The leg unit per experiment:
 //
-//	table2       one SPEC pair            (one Table II row)
-//	parsec       one PARSEC workload      (one row)
-//	llc-sweep    one LLC size, all pairs  (one sweep point; geomean is
-//	                                       within-size, so it shards cleanly)
-//	ablation     one defense config       (re-runs the baseline per leg for
-//	                                       normalization; row 0 IS the baseline)
-//	bookkeeping  one slice length         (one row)
-//	matrix       one defense row          (runs the attack columns and the
-//	                                       perf baseline for that row)
-//	security     the whole experiment     (four short sequential runs)
+//	table2       one SPEC pair                 (one Table II row)
+//	parsec       one PARSEC workload           (one row)
+//	bookkeeping  one slice length              (one row)
+//	security     one (attack, mode) run        (one row, in table order)
+//	llc-sweep    one (LLC size, pair) cell     (raw cycles; the merge takes
+//	                                            the geomean per size)
+//	ablation     one defense                   (raw cycles; the merge
+//	                                            normalizes against "none")
+//	matrix       one defense×attack run or one (raw accuracy or cycles; the
+//	             defense×pair run              merge builds the grid)
 //
-// Sharded ablation and matrix legs re-run their normalization baseline
-// inside each leg, so a sharded run simulates more cycles than an unsharded
-// one — the rendered bytes are identical (determinism), but the resource
-// account is not. Callers that need exact resource equivalence with an
-// unsharded run (TestResourceEquivalence pins table2) get it on the
-// experiments whose legs are disjoint.
+// Legs that feed a reduce emit exact raw values — cycles as integers,
+// accuracies in shortest round-trip form — so the merge computes the
+// normalized, geomean and leaked-bits columns from the same numbers an
+// unsplit computation would. No leg re-runs another leg's work: the "none"
+// baseline the ablation and the matrix normalize against is its own leg.
 package harness
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
+	"timecache/internal/attack"
 	"timecache/internal/cache"
+	"timecache/internal/defense"
+	"timecache/internal/machine"
 	"timecache/internal/stats"
 	"timecache/internal/workload"
 )
+
+// experiment defines one dispatchable experiment.
+type experiment struct {
+	// legHeader is the header of every leg table.
+	legHeader []string
+	// legs is the leg count of a canonical job.
+	legs func(j Job) int
+	// run runs leg i of a canonical job, drawing machines from pool, and
+	// returns its row's cells.
+	run func(j Job, i int, pool *machine.Pool, opts Options) ([]any, error)
+	// reduce turns the legs' rows, in leg order, into the result table. Nil
+	// means the leg rows are the result rows.
+	reduce func(j Job, rows [][]string) (*stats.Table, error)
+}
+
+// pairHeader is the Table II slice format (results/golden/table2_slice.csv).
+var pairHeader = []string{"workload", "normalized", "mpki-base", "mpki-tc", "fa-l1i", "fa-l1d", "fa-llc"}
+
+var experiments = map[string]experiment{
+	ExpTableII: {
+		legHeader: pairHeader,
+		legs:      func(j Job) int { return len(j.Pairs) },
+		run: func(j Job, i int, pool *machine.Pool, opts Options) ([]any, error) {
+			r, err := runSpecPair(pool, pairOf(j.Pairs[i]), opts)
+			return pairRow(r), err
+		},
+	},
+	ExpParsec: {
+		legHeader: pairHeader,
+		legs:      func(j Job) int { return len(j.Workloads) },
+		run: func(j Job, i int, pool *machine.Pool, opts Options) ([]any, error) {
+			r, err := runParsec(pool, j.Workloads[i], opts)
+			return pairRow(r), err
+		},
+	},
+	ExpBookkeeping: {
+		legHeader: []string{"slice-cycles", "bookkeeping-pct", "total-overhead-pct"},
+		legs:      func(j Job) int { return len(j.SliceCycles) },
+		run:       runBookkeepingLeg,
+	},
+	ExpSecurity: {
+		legHeader: []string{"experiment", "mode", "result"},
+		// The microbenchmark and the RSA attack, each under every mode.
+		legs: func(Job) int { return 2 * len(securityModes) },
+		run:  runSecurityLeg,
+	},
+	ExpLLCSweep: {
+		legHeader: []string{"llc", "workload", "baseline-cycles", "timecache-cycles"},
+		legs:      func(j Job) int { return len(j.LLCSizes) * len(j.Pairs) },
+		run:       runLLCSweepLeg,
+		reduce:    reduceLLCSweep,
+	},
+	ExpAblation: {
+		legHeader: []string{"defense", "cycles"},
+		legs:      func(Job) int { return len(defense.Kinds()) },
+		run:       runAblationLeg,
+		reduce:    reduceAblation,
+	},
+	ExpMatrix: {
+		legHeader: []string{"defense", "column", "raw"},
+		legs:      func(j Job) int { return len(matrixCells(j)) },
+		run:       runMatrixLeg,
+		reduce:    reduceMatrix,
+	},
+}
 
 // JobLegs returns how many schedulable legs the job dispatches. The count is
 // a pure function of the canonical job, so a coordinator and a worker that
@@ -45,137 +115,223 @@ func JobLegs(j Job) (int, error) {
 		return 0, err
 	}
 	j = j.Canonical()
-	switch j.Experiment {
-	case ExpTableII:
-		pairs, _ := selectPairs(j.Pairs)
-		return len(pairs), nil
-	case ExpParsec:
-		return len(j.Workloads), nil
-	case ExpLLCSweep:
-		return len(j.LLCSizes), nil
-	case ExpAblation:
-		return len(ablationConfigs()), nil
-	case ExpBookkeeping:
-		return len(j.SliceCycles), nil
-	case ExpSecurity:
-		return 1, nil
-	case ExpMatrix:
-		return len(j.Defenses), nil
-	}
-	return 0, fmt.Errorf("harness: unknown experiment %q", j.Experiment)
+	return experiments[j.Experiment].legs(j), nil
 }
 
-// RunJobLeg runs one leg of the job and renders just that leg's table slice
-// (same header as the full table, the leg's rows only). The leg index
-// addresses the canonical job: RunJobLeg(j, i) computes row block i of
-// RunJob(j) byte-identically, regardless of which process or pool runs it.
+// RunJobLeg runs one leg of the job and renders its one-row leg table. The
+// leg index addresses the canonical job: RunJobLeg(j, i) renders the same
+// bytes regardless of which process or pool runs it. Machines come from
+// opts.Pool when set, else from a fresh pool.
 func RunJobLeg(j Job, leg int, opts Options) (*stats.Table, error) {
 	if err := j.Validate(); err != nil {
 		return nil, err
 	}
 	j = j.Canonical()
-	n, _ := JobLegs(j)
-	if leg < 0 || leg >= n {
+	e := experiments[j.Experiment]
+	if n := e.legs(j); leg < 0 || leg >= n {
 		return nil, fmt.Errorf("harness: job has %d legs, leg %d out of range", n, leg)
 	}
-	switch j.Experiment {
-	case ExpTableII:
-		pairs, _ := selectPairs(j.Pairs)
-		return TableIITable(pairs[leg:leg+1], opts)
-	case ExpParsec:
-		return ParsecTable(j.Workloads[leg:leg+1], opts)
-	case ExpLLCSweep:
-		pairs, _ := selectPairs(j.Pairs)
-		return LLCSweepTable(j.LLCSizes[leg:leg+1], pairs, opts)
-	case ExpAblation:
-		pairs, _ := selectPairs(j.Pairs)
-		return ablationRow(pairs[0], leg, opts)
-	case ExpBookkeeping:
-		return BookkeepingTable(j.SliceCycles[leg:leg+1], opts)
-	case ExpSecurity:
-		return SecurityTable(j.KeyBits, j.Seed, opts)
-	case ExpMatrix:
-		pairs, _ := selectPairs(j.Pairs)
-		return MatrixTable(j.Defenses[leg:leg+1], j.Attacks, pairs, j.AttackBits, j.Seed, opts)
+	if err := opts.ctx().Err(); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("harness: unknown experiment %q", j.Experiment)
+	row, err := e.run(j, leg, opts.newPool(), opts.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	tab := stats.NewTable(e.legHeader...)
+	tab.Add(row...)
+	return tab, nil
 }
 
-// MergeLegTables reassembles a full result table from its per-leg slices in
-// leg order. Headers must agree (they are a function of the experiment, so a
-// mismatch means the parts came from different jobs); rows concatenate
-// positionally, which is exactly how the unsharded runners order them.
+// MergeLegTables reduces a job's leg tables, in leg order, to its result
+// table. It rejects a part list of the wrong length and any part that is
+// not one row under the experiment's leg header — such parts came from a
+// different job or from a build with a different leg address space.
 func MergeLegTables(j Job, parts []*stats.Table) (*stats.Table, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("harness: merge of zero leg tables")
+	if err := j.Validate(); err != nil {
+		return nil, err
 	}
+	j = j.Canonical()
+	e := experiments[j.Experiment]
+	if n := e.legs(j); len(parts) != n {
+		return nil, fmt.Errorf("harness: %s job has %d legs, got %d leg tables", j.Experiment, n, len(parts))
+	}
+	rows := make([][]string, len(parts))
 	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("harness: leg %d of %s has no table", i, j.Experiment)
+		if err := checkLeg(j, e, i, p); err != nil {
+			return nil, err
 		}
-		if len(p.Header) != len(parts[0].Header) {
-			return nil, fmt.Errorf("harness: leg %d header width %d != leg 0 width %d",
-				i, len(p.Header), len(parts[0].Header))
-		}
-		for c, h := range p.Header {
-			if h != parts[0].Header[c] {
-				return nil, fmt.Errorf("harness: leg %d header %q != leg 0 header %q", i, h, parts[0].Header[c])
-			}
-		}
+		rows[i] = p.Rows[0]
 	}
-	out := stats.NewTable(parts[0].Header...)
-	for _, p := range parts {
-		out.Rows = append(out.Rows, p.Rows...)
+	if e.reduce != nil {
+		return e.reduce(j, rows)
 	}
+	out := stats.NewTable(e.legHeader...)
+	out.Rows = rows
 	return out, nil
 }
 
-// ablationRow renders row idx of the defense ablation. Normalization needs
-// the baseline cycles, so every non-baseline leg runs two machines (baseline
-// + its defense); the rendered row is still byte-identical to the unsharded
-// table because both runs are deterministic.
-func ablationRow(pair workload.Pair, idx int, opts Options) (*stats.Table, error) {
-	opts = opts.withDefaults()
-	pa, err := workload.Spec(pair.A)
-	if err != nil {
-		return nil, err
+// CheckLegTable reports whether t can be leg leg of the job in this build:
+// the index is in range and t is one row under the experiment's leg header.
+// A leg table checkpointed by a build with a different leg address space
+// fails it.
+func CheckLegTable(j Job, leg int, t *stats.Table) error {
+	if err := j.Validate(); err != nil {
+		return err
 	}
-	pb, err := workload.Spec(pair.B)
-	if err != nil {
-		return nil, err
+	j = j.Canonical()
+	e := experiments[j.Experiment]
+	if n := e.legs(j); leg < 0 || leg >= n {
+		return fmt.Errorf("harness: job has %d legs, leg %d out of range", n, leg)
 	}
-	frames := workload.FramesNeeded(pa) + workload.FramesNeeded(pb) + 1024
+	return checkLeg(j, e, leg, t)
+}
 
-	configs := ablationConfigs()
-	cfg := configs[idx]
-	pool := opts.newPool()
-	run := func(c ablationConfig) (uint64, error) {
-		if err := opts.ctx().Err(); err != nil {
-			return 0, err
-		}
-		mcfg := machineConfig(cache.SecOff, 1, opts, frames)
-		mcfg.Mode, mcfg.Defense = cache.SecOff, c.kind
-		l, err := specLeg(pair, mcfg, c.name, opts, nil)
-		if err != nil {
-			return 0, err
-		}
-		m, err := runLeg(pool, opts, l)
-		if err != nil {
-			return 0, err
-		}
-		return m.cycles, nil
+// checkLeg checks that t is one row under e's leg header.
+func checkLeg(j Job, e experiment, leg int, t *stats.Table) error {
+	if t == nil {
+		return fmt.Errorf("harness: leg %d of %s has no table", leg, j.Experiment)
 	}
-	baseline, err := run(configs[0])
-	if err != nil {
-		return nil, err
+	if !slices.Equal(t.Header, e.legHeader) {
+		return fmt.Errorf("harness: leg %d header %q is not the %s leg header %q",
+			leg, t.Header, j.Experiment, e.legHeader)
 	}
-	cycles := baseline
-	if idx != 0 {
-		if cycles, err = run(cfg); err != nil {
+	if len(t.Rows) != 1 || len(t.Rows[0]) != len(e.legHeader) {
+		return fmt.Errorf("harness: leg %d of %s is not one %d-cell row", leg, j.Experiment, len(e.legHeader))
+	}
+	return nil
+}
+
+// pairRow renders a PairResult in the Table II slice format.
+func pairRow(r PairResult) []any {
+	return []any{r.Label, r.Normalized, r.MPKIBase, r.MPKITC,
+		r.FirstAccess.L1I, r.FirstAccess.L1D, r.FirstAccess.LLC}
+}
+
+// bookkeepingPair is the pair the §VI-D slice-length scaling runs.
+var bookkeepingPair = workload.Pair{Label: "2Xnamd", A: "namd", B: "namd"}
+
+// runBookkeepingLeg measures the bookkeeping share at one slice length: the
+// fixed per-switch DMA cost (1.08 µs = 2160 cycles at 2 GHz) shrinks as a
+// fraction of execution time as the slice grows toward realistic 1–10 ms
+// scheduler quanta, converging on the paper's ~0.02% figure.
+func runBookkeepingLeg(j Job, i int, pool *machine.Pool, opts Options) ([]any, error) {
+	opts.SliceCycles = j.SliceCycles[i]
+	r, err := runSpecPair(pool, bookkeepingPair, opts)
+	return []any{opts.SliceCycles, r.BookkeepingPct, stats.OverheadPct(r.Normalized)}, err
+}
+
+// securityModes are the modes each §VI-A attack runs under, in row order.
+var securityModes = []cache.SecMode{cache.SecOff, cache.SecTimeCache}
+
+// runSecurityLeg runs one §VI-A attack under one mode: the microbenchmark
+// under each mode, then the RSA flush+reload attack under each mode.
+func runSecurityLeg(j Job, i int, _ *machine.Pool, opts Options) ([]any, error) {
+	mode := securityModes[i%len(securityModes)]
+	start := opts.legStart()
+	if i < len(securityModes) {
+		mb, err := attack.RunMicrobenchmark(mode)
+		if err != nil {
 			return nil, err
 		}
+		opts.finishAttackLeg("microbenchmark/"+mode.String(), start)
+		return []any{"microbenchmark (§VI-A1)", mode.String(),
+			fmt.Sprintf("%d/%d lines hit", mb.Hits, mb.Lines)}, nil
 	}
-	tab := stats.NewTable("defense", "normalized-time")
-	tab.Add(cfg.name, stats.Normalized(cycles, baseline))
+	rsa, err := attack.RunRSA(mode, j.KeyBits, j.Seed)
+	if err != nil {
+		return nil, err
+	}
+	opts.finishAttackLeg("rsa/"+mode.String(), start)
+	return []any{"RSA flush+reload (§VI-A2)", mode.String(),
+		fmt.Sprintf("%.0f%% of key bits, %d hits, victim correct=%v",
+			rsa.Accuracy*100, rsa.Hits, rsa.VictimCorrect)}, nil
+}
+
+// runLLCSweepLeg runs one Fig. 10 cell: pair i%len(Pairs) at LLC size
+// i/len(Pairs), under the baseline and under TimeCache.
+func runLLCSweepLeg(j Job, i int, pool *machine.Pool, opts Options) ([]any, error) {
+	opts.LLCSize = j.LLCSizes[i/len(j.Pairs)]
+	r, err := runSpecPair(pool, pairOf(j.Pairs[i%len(j.Pairs)]), opts)
+	return []any{fmt.Sprintf("%dKB", opts.LLCSize>>10), r.Label, r.BaselineCycles, r.TimeCacheCycles}, err
+}
+
+// reduceLLCSweep renders Fig. 10 in the golden sweep format
+// (results/golden/llc_sweep.csv): per LLC size, the geometric-mean
+// normalized time of its pairs and the overhead it implies.
+func reduceLLCSweep(j Job, rows [][]string) (*stats.Table, error) {
+	tab := stats.NewTable("llc", "geomean-normalized", "overhead-pct")
+	n := len(j.Pairs)
+	for si := range j.LLCSizes {
+		norms := make([]float64, n)
+		for pi := range norms {
+			row := rows[si*n+pi]
+			base, err := rawUint(row[2])
+			if err != nil {
+				return nil, err
+			}
+			tc, err := rawUint(row[3])
+			if err != nil {
+				return nil, err
+			}
+			norms[pi] = stats.Normalized(tc, base)
+		}
+		gm := stats.GeoMean(norms)
+		tab.Add(rows[si*n][0], gm, stats.OverheadPct(gm))
+	}
 	return tab, nil
+}
+
+// ablationName is the ablation's row name for a registry kind: the
+// historical "baseline" for none and "partitioned" for dawg-lite; every
+// other row displays its kind.
+func ablationName(kind string) string {
+	switch kind {
+	case defense.None:
+		return "baseline"
+	case defense.DAWGLite:
+		return "partitioned"
+	}
+	return kind
+}
+
+// runAblationLeg runs the ablation pair under registry kind i.
+func runAblationLeg(j Job, i int, pool *machine.Pool, opts Options) ([]any, error) {
+	kind := defense.Kinds()[i]
+	name := ablationName(kind)
+	cycles, err := runDefensePair(pool, pairOf(j.Pairs[0]), kind, name, opts)
+	return []any{name, cycles}, err
+}
+
+// reduceAblation normalizes every defense's cycles against the baseline's:
+// the first registry kind is "none".
+func reduceAblation(_ Job, rows [][]string) (*stats.Table, error) {
+	tab := stats.NewTable("defense", "normalized-time")
+	base, err := rawUint(rows[0][1])
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		cycles, err := rawUint(row[1])
+		if err != nil {
+			return nil, err
+		}
+		tab.Add(row[0], stats.Normalized(cycles, base))
+	}
+	return tab, nil
+}
+
+// rawUint parses a leg's raw integer cell.
+func rawUint(s string) (uint64, error) {
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("harness: leg cell %q is not a raw integer: %w", s, err)
+	}
+	return v, nil
+}
+
+// pairOf resolves one pair label of a validated job.
+func pairOf(label string) workload.Pair {
+	pairs, _ := selectPairs([]string{label})
+	return pairs[0]
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"timecache/internal/defense"
 	"timecache/internal/machine"
 	"timecache/internal/stats"
 )
@@ -24,7 +25,7 @@ func shardSpecs() map[string]Job {
 
 // runSharded runs every leg of the job on its own fresh pool — the worst
 // case for state sharing, matching a fleet of separate worker processes —
-// and merges the slices positionally.
+// and merges the leg tables.
 func runSharded(job Job, opts Options) (*stats.Table, error) {
 	n, err := JobLegs(job)
 	if err != nil {
@@ -43,8 +44,8 @@ func runSharded(job Job, opts Options) (*stats.Table, error) {
 
 // TestShardEquivalence is the sharding seam's correctness anchor: for every
 // experiment, running each leg independently (fresh pool per leg, as a
-// distributed worker would) and merging positionally must render bytes
-// identical to the unsharded RunJob.
+// distributed worker would) and merging must render bytes identical to
+// RunJob, which runs the same legs on shared worker pools.
 func TestShardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -75,7 +76,11 @@ func TestShardEquivalence(t *testing.T) {
 // TestJobLegsCounts pins the leg unit per experiment.
 func TestJobLegsCounts(t *testing.T) {
 	for name, want := range map[string]int{
-		"table2": 3, "parsec": 2, "llc-sweep": 2, "bookkeeping": 2, "security": 1, "matrix": 2,
+		"table2": 3, "parsec": 2, "bookkeeping": 2,
+		"security":  4, // two attacks × two modes
+		"llc-sweep": 4, // two sizes × two pairs
+		"matrix":    6, // two defenses × two attacks + two defenses × one pair
+		"ablation":  len(defense.Kinds()),
 	} {
 		n, err := JobLegs(shardSpecs()[name])
 		if err != nil {
@@ -85,13 +90,15 @@ func TestJobLegsCounts(t *testing.T) {
 			t.Errorf("JobLegs(%s) = %d, want %d", name, n, want)
 		}
 	}
-	// Ablation's leg count is the defense registry size.
-	n, err := JobLegs(shardSpecs()["ablation"])
+	// The matrix's slowdown columns need the "none" cells: a job that does
+	// not request the none row still runs its pairs under none.
+	n, err := JobLegs(Job{Experiment: ExpMatrix, Pairs: []string{"2Xlbm", "2Xgobmk"},
+		Defenses: []string{"timecache"}, Attacks: []string{"smt"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(ablationConfigs()) {
-		t.Errorf("JobLegs(ablation) = %d, want %d", n, len(ablationConfigs()))
+	if n != 1+2*2 {
+		t.Errorf("JobLegs(matrix without none) = %d, want 5", n)
 	}
 	// Defaulted selections count their canonical set, same as RunJob runs.
 	n, err = JobLegs(Job{Experiment: ExpTableII})
@@ -128,5 +135,35 @@ func TestRunJobLegRange(t *testing.T) {
 	}
 	if _, err := RunJobLeg(job, -1, Options{}); err == nil {
 		t.Error("leg -1 succeeded")
+	}
+}
+
+// TestValidateSweepPoints: sweep points that would mislabel a row or
+// exhaust memory are rejected before any leg runs.
+func TestValidateSweepPoints(t *testing.T) {
+	for _, job := range []Job{
+		// The kernel would silently run its default slice under a "0" label.
+		{Experiment: ExpBookkeeping, SliceCycles: []uint64{100_000, 0}},
+		{Experiment: ExpLLCSweep, LLCSizes: []int{0}},
+		{Experiment: ExpLLCSweep, LLCSizes: []int{-1 << 20}},
+		{Experiment: ExpLLCSweep, LLCSizes: []int{MaxLLCSize + 1024}},
+		{Experiment: ExpLLCSweep, LLCSizes: []int{1 << 40}},
+		// Not a whole number of KB: the LLC cannot be built with 16 ways.
+		{Experiment: ExpLLCSweep, LLCSizes: []int{(1 << 20) + 64}},
+	} {
+		if err := job.Validate(); err == nil {
+			t.Errorf("Validate(%+v) accepted an invalid sweep point", job)
+		}
+		if _, err := JobLegs(job); err == nil {
+			t.Errorf("JobLegs(%+v) accepted an invalid sweep point", job)
+		}
+	}
+	for _, job := range []Job{
+		{Experiment: ExpBookkeeping, SliceCycles: []uint64{1}},
+		{Experiment: ExpLLCSweep, LLCSizes: []int{1 << 10, MaxLLCSize}},
+	} {
+		if err := job.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", job, err)
+		}
 	}
 }

@@ -101,7 +101,6 @@ func TestCacheGoldenEquivalence(t *testing.T) {
 		Pairs:         []string{"2Xlbm", "2Xgobmk", "leslie+gobmk"},
 		InstrsPerProc: 60_000,
 		WarmupInstrs:  40_000,
-		Jobs:          2,
 	}
 	cold, hdr := submitHdr(t, ts, spec)
 	if hdr != "miss" {
@@ -119,8 +118,8 @@ func TestCacheGoldenEquivalence(t *testing.T) {
 	legsBefore := scrapeMetric(t, ts, "timecache_job_legs_total")
 
 	// Equivalent spec, not an identical one: defaults spelled out differently
-	// (Jobs omitted instead of 2) must map to the same cache key.
-	spec.Jobs = 0
+	// (the default LLC size given explicitly) must map to the same cache key.
+	spec.LLCSizeKB = 2 << 10
 	warm, hdr := submitHdr(t, ts, spec)
 	if hdr != "hit" {
 		t.Fatalf("repeat submit header = %q, want hit", hdr)
@@ -487,10 +486,9 @@ func TestCacheFollowerTimeout(t *testing.T) {
 func TestCacheKeyEquivalence(t *testing.T) {
 	base := Spec{Experiment: "table2", Pairs: []string{"2Xlbm"}, InstrsPerProc: 20_000, WarmupInstrs: 10_000}
 	equiv := base
-	equiv.Jobs = 4          // parallelism is result-invariant
 	equiv.TimeoutMS = 9_999 // deadlines are result-invariant
 	if base.cacheKey() != equiv.cacheKey() {
-		t.Error("jobs/timeout split the cache key; they are result-invariant")
+		t.Error("timeout split the cache key; it is result-invariant")
 	}
 	llcDefault := base
 	llcDefault.LLCSizeKB = 2 << 10 // the default 2 MiB, spelled out

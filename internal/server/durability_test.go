@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"timecache/internal/clock"
+	"timecache/internal/defense"
 	"timecache/internal/jobstore"
 )
 
@@ -262,6 +263,67 @@ func TestRestartResumesMidRunJob(t *testing.T) {
 	// Exactly the one missing leg re-ran.
 	if n := scrapeMetric(t, ts2, "timecache_legs_completed_total"); n != 1 {
 		t.Errorf("legs_completed_total after resume = %v, want 1 (one leg re-run)", n)
+	}
+}
+
+// TestReplayRejectsChangedLegSpace: a job journaled by a build that split
+// its experiment into different legs must not resume — its leg records
+// index a different leg address space — so replay fails it explicitly, runs
+// none of its legs, and journals the failure. The leg count catches a
+// changed split; the leg header catches one that kept the count.
+func TestReplayRejectsChangedLegSpace(t *testing.T) {
+	cases := []struct {
+		name    string
+		spec    Spec
+		legs    int
+		leg     legRecord
+		wantErr string
+	}{{
+		// Security as one leg rendering every row; this build runs it as
+		// four legs.
+		name: "security", spec: Spec{Experiment: "security", KeyBits: 16, Seed: 7}, legs: 1,
+		leg: legRecord{Leg: 0, Header: []string{"experiment", "mode", "result"},
+			Rows: [][]string{{"microbenchmark (§VI-A1)", "baseline", "64/64 lines hit"}}},
+		wantErr: "accepted as 1 legs",
+	}, {
+		// Ablation as one normalized row per defense: the same count as
+		// this build's raw-cycles legs, under another header.
+		name: "ablation", spec: Spec{Experiment: "ablation", Pairs: []string{"2Xgobmk"}}, legs: len(defense.Kinds()),
+		leg: legRecord{Leg: 0, Header: []string{"defense", "normalized-time"},
+			Rows: [][]string{{"baseline", "1.0000"}}},
+		wantErr: "leg header",
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const id = "job-000001"
+			store := jobstore.NewMem()
+			for _, rec := range []struct {
+				kind    jobstore.Kind
+				payload any
+			}{
+				{jobstore.KindAccepted, acceptedRecord{Spec: tc.spec, Created: time.Unix(1, 0).UTC(), Legs: tc.legs}},
+				{jobstore.KindLeg, tc.leg},
+			} {
+				if err := store.Append(jobstore.Record{Kind: rec.kind, JobID: id, Payload: mustJSON(rec.payload)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			_, ts := startServer(t, Config{Workers: 1, Store: store})
+			final := waitTerminal(t, ts, id, 10*time.Second)
+			if final.State != StateFailed || !strings.Contains(final.Error, tc.wantErr) {
+				t.Fatalf("replayed job = %s (%q), want failed on %q", final.State, final.Error, tc.wantErr)
+			}
+			if n := scrapeMetric(t, ts, "timecache_legs_completed_total"); n != 0 {
+				t.Errorf("legs_completed_total = %v, want 0 (no leg of a mismatched job runs)", n)
+			}
+
+			// The failure is terminal in the log: a second restart replays it as is.
+			_, ts2 := startServer(t, Config{Workers: 1, Store: copyStore(t, store, nil)})
+			if got := getStatus(t, ts2, id); got.State != StateFailed || got.Error != final.Error {
+				t.Errorf("second replay = %s (%q), want failed (%q)", got.State, got.Error, final.Error)
+			}
+		})
 	}
 }
 

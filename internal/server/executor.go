@@ -21,12 +21,8 @@ import (
 // /v1/legs HTTP protocol, see worker.go). Determinism makes them
 // interchangeable mid-job: a leg renders the same bytes wherever it runs.
 type legExecutor interface {
-	// runLeg executes leg of j under ctx. wireProgress asks the executor to
-	// stream the harness's inner progress callbacks into the job (only
-	// meaningful for single-leg jobs run in-process); wired reports whether
-	// it actually did, so the coordinator knows not to overwrite the inner
-	// counts with leg-granularity progress.
-	runLeg(ctx context.Context, j *job, leg int, wireProgress bool) (tab *stats.Table, res JobResources, wired bool, err error)
+	// runLeg executes leg of j under ctx.
+	runLeg(ctx context.Context, j *job, leg int) (*stats.Table, JobResources, error)
 }
 
 // retryableError marks a failure of the execution channel, not of the
@@ -56,7 +52,7 @@ func newInProcExecutor(s *Server) *inProcExecutor {
 	return &inProcExecutor{s: s, pool: machine.NewPool()}
 }
 
-func (e *inProcExecutor) runLeg(ctx context.Context, j *job, leg int, wireProgress bool) (*stats.Table, JobResources, bool, error) {
+func (e *inProcExecutor) runLeg(ctx context.Context, j *job, leg int) (*stats.Table, JobResources, error) {
 	account := &harness.ResourceAccount{}
 	opts := j.spec.options()
 	opts.Ctx = ctx
@@ -64,9 +60,6 @@ func (e *inProcExecutor) runLeg(ctx context.Context, j *job, leg int, wireProgre
 	opts.Spans = j.trace
 	opts.Now = e.s.clk.Now
 	opts.Account = account
-	if wireProgress {
-		opts.Progress = func(done, total int) { j.progress(done, total) }
-	}
 
 	ps0 := e.pool.Stats()
 	tab, err := harness.RunJobLeg(j.spec.harnessJob(), leg, opts)
@@ -77,7 +70,7 @@ func (e *inProcExecutor) runLeg(ctx context.Context, j *job, leg int, wireProgre
 		PoolMisses:    ps1.Misses - ps0.Misses,
 		PoolEvictions: ps1.Evictions - ps0.Evictions,
 	}
-	return tab, res, wireProgress, err
+	return tab, res, err
 }
 
 // legRequest / legResponse are the coordinator↔worker wire format for one
@@ -107,21 +100,21 @@ func newRemoteExecutor(addr string) *remoteExecutor {
 	return &remoteExecutor{addr: addr, client: &http.Client{}}
 }
 
-func (e *remoteExecutor) runLeg(ctx context.Context, j *job, leg int, wireProgress bool) (*stats.Table, JobResources, bool, error) {
+func (e *remoteExecutor) runLeg(ctx context.Context, j *job, leg int) (*stats.Table, JobResources, error) {
 	body := mustJSON(legRequest{Spec: j.spec, Leg: leg})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.addr+"/v1/legs", bytes.NewReader(body))
 	if err != nil {
-		return nil, JobResources{}, false, retryableError{fmt.Errorf("worker %s: %w", e.addr, err)}
+		return nil, JobResources{}, retryableError{fmt.Errorf("worker %s: %w", e.addr, err)}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := e.client.Do(req)
 	if err != nil {
-		return nil, JobResources{}, false, retryableError{fmt.Errorf("worker %s: %w", e.addr, err)}
+		return nil, JobResources{}, retryableError{fmt.Errorf("worker %s: %w", e.addr, err)}
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, JobResources{}, false, retryableError{fmt.Errorf("worker %s: read response: %w", e.addr, err)}
+		return nil, JobResources{}, retryableError{fmt.Errorf("worker %s: read response: %w", e.addr, err)}
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -130,16 +123,16 @@ func (e *remoteExecutor) runLeg(ctx context.Context, j *job, leg int, wireProgre
 			Error string `json:"error"`
 		}
 		if json.Unmarshal(raw, &fail) == nil && fail.Error != "" {
-			return nil, JobResources{}, false, errors.New(fail.Error)
+			return nil, JobResources{}, errors.New(fail.Error)
 		}
-		return nil, JobResources{}, false, fmt.Errorf("worker %s: leg failed: %s", e.addr, raw)
+		return nil, JobResources{}, fmt.Errorf("worker %s: leg failed: %s", e.addr, raw)
 	default:
-		return nil, JobResources{}, false,
+		return nil, JobResources{},
 			retryableError{fmt.Errorf("worker %s: status %d: %s", e.addr, resp.StatusCode, raw)}
 	}
 	var lr legResponse
 	if err := json.Unmarshal(raw, &lr); err != nil {
-		return nil, JobResources{}, false, retryableError{fmt.Errorf("worker %s: decode response: %w", e.addr, err)}
+		return nil, JobResources{}, retryableError{fmt.Errorf("worker %s: decode response: %w", e.addr, err)}
 	}
-	return &stats.Table{Header: lr.Header, Rows: lr.Rows}, lr.Resources, false, nil
+	return &stats.Table{Header: lr.Header, Rows: lr.Rows}, lr.Resources, nil
 }

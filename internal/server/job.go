@@ -59,9 +59,6 @@ type Spec struct {
 	GateLevel bool `json:"gate_level,omitempty"`
 	// SliceCycles overrides the scheduler time slice (mirrors -slice).
 	SliceCycles uint64 `json:"slice_cycles,omitempty"`
-	// Jobs is the within-job sweep parallelism (mirrors -j). Default 1 so
-	// concurrent service jobs do not multiply against each other.
-	Jobs int `json:"jobs,omitempty"`
 	// TimeoutMS bounds the job's run time; the job fails with a deadline
 	// error when exceeded. Zero uses the server's default (if any).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -122,8 +119,8 @@ func (s Spec) harnessJob() harness.Job {
 // result-affecting fidelity options (harness.Options.FidelityTag), both with
 // defaults resolved — so a spec that spells out a default and one that omits
 // it share an entry. Result-invariant fields are deliberately excluded and
-// cannot split the key space: Jobs (the golden tests prove -j1 and -j8
-// render byte-identical tables), TimeoutMS, and NoCache itself.
+// cannot split the key space: TimeoutMS, NoCache itself, and the admission
+// fields Tenant and Priority.
 func (s Spec) cacheKey() string {
 	h := sha256.New()
 	io.WriteString(h, s.harnessJob().Fingerprint())
@@ -134,19 +131,17 @@ func (s Spec) cacheKey() string {
 
 // validate rejects malformed specs before they are queued.
 func (s Spec) validate() error {
-	if s.Jobs < 0 {
-		return fmt.Errorf("jobs must be >= 0, got %d", s.Jobs)
-	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0, got %d", s.TimeoutMS)
 	}
+	const maxKB = harness.MaxLLCSize >> 10
 	for _, kb := range s.LLCSizesKB {
-		if kb <= 0 {
-			return fmt.Errorf("llc_sizes_kb entries must be positive, got %d", kb)
+		if kb <= 0 || kb > maxKB {
+			return fmt.Errorf("llc_sizes_kb entries must be in [1, %d], got %d", maxKB, kb)
 		}
 	}
-	if s.LLCSizeKB < 0 {
-		return fmt.Errorf("llc_size_kb must be >= 0, got %d", s.LLCSizeKB)
+	if s.LLCSizeKB < 0 || s.LLCSizeKB > maxKB {
+		return fmt.Errorf("llc_size_kb must be in [0, %d], got %d", maxKB, s.LLCSizeKB)
 	}
 	if s.AttackBits < 0 {
 		return fmt.Errorf("attack_bits must be >= 0, got %d", s.AttackBits)
@@ -160,20 +155,15 @@ func (s Spec) validate() error {
 }
 
 // options translates the fidelity half of the spec into harness options for
-// one run. jobs defaults to 1: the service's parallelism unit is the job,
-// not the sweep leg, unless the client asks otherwise.
+// one leg. The service's parallelism unit is the leg: executors run legs
+// concurrently, and a leg has no inner sweep to parallelize.
 func (s Spec) options() harness.Options {
-	jobs := s.Jobs
-	if jobs == 0 {
-		jobs = 1
-	}
 	return harness.Options{
 		InstrsPerProc: s.InstrsPerProc,
 		WarmupInstrs:  s.WarmupInstrs,
 		LLCSize:       s.LLCSizeKB << 10,
 		GateLevel:     s.GateLevel,
 		SliceCycles:   s.SliceCycles,
-		Jobs:          jobs,
 	}
 }
 
@@ -375,19 +365,6 @@ func (j *job) claimLeg() (leg int, epoch uint64, more, claimed bool) {
 		}
 	}
 	return leg, epoch, more, claimed
-}
-
-// progress records inner (within-leg) progress and mirrors it to the SSE
-// stream and any result-cache followers. Only single-leg jobs wire this
-// through; multi-leg jobs report at leg granularity via completeLeg.
-func (j *job) progress(done, total int) {
-	j.mu.Lock()
-	j.done, j.total = done, total
-	j.mu.Unlock()
-	j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
-	if j.flight != nil {
-		j.flight.Progress(done, total)
-	}
 }
 
 func newJob(id string, spec Spec, now time.Time) *job {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"timecache/internal/defense"
 	"timecache/internal/harness"
 	"timecache/internal/promtext"
 )
@@ -123,49 +124,80 @@ func TestJobTrace(t *testing.T) {
 	}
 }
 
-// TestResourceEquivalence: the resource account a job reports over HTTP must
-// equal, field for field, what an identical in-process harness run accounts —
-// the service adds observability, never different numbers.
+// TestResourceEquivalence: for every experiment, the resource account a job
+// reports over HTTP must equal, field for field, what RunJob accounts for
+// the same spec — the service adds observability, never different numbers —
+// and both run each machine exactly once: no leg re-runs another leg's work
+// (the "none" baseline of the ablation and the matrix is its own leg).
 func TestResourceEquivalence(t *testing.T) {
-	spec := smallSpec()
-	_, ts := startServer(t, Config{Workers: 1})
-	st, _ := submit(t, ts, spec)
-	final := waitTerminal(t, ts, st.ID, 60*time.Second)
-	if final.State != StateDone {
-		t.Fatalf("job %s: %s", final.State, final.Error)
+	budget := func(s Spec) Spec {
+		s.InstrsPerProc, s.WarmupInstrs = 20_000, 10_000
+		return s
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var result struct {
-		Resources *JobResources `json:"resources"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&result); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if result.Resources == nil {
-		t.Fatal("result JSON has no resources block")
-	}
+	for _, tc := range []struct {
+		spec Spec
+		// runs is how many machines the job runs; pooled is how many of
+		// them come from the executor's pool (attack scenarios build their
+		// own).
+		runs, pooled uint64
+	}{
+		{smallSpec(), 2, 2},
+		{budget(Spec{Experiment: "parsec", Workloads: []string{"blackscholes"}}), 2, 2},
+		{budget(Spec{Experiment: "llc-sweep", Pairs: []string{"2Xlbm", "2Xgobmk"},
+			LLCSizesKB: []int{512, 1024}}), 8, 8},
+		{budget(Spec{Experiment: "bookkeeping", SliceLadder: []uint64{100_000, 200_000}}), 4, 4},
+		{budget(Spec{Experiment: "security", KeyBits: 16, Seed: 7}), 4, 0},
+		{budget(Spec{Experiment: "ablation", Pairs: []string{"2Xlbm"}}),
+			uint64(len(defense.Kinds())), uint64(len(defense.Kinds()))},
+		// Two attack cells, then the pair under the implicit none baseline
+		// and under each requested defense.
+		{budget(Spec{Experiment: "matrix", Pairs: []string{"2Xlbm"}, Defenses: []string{"timecache", "ftm"},
+			Attacks: []string{"smt"}, AttackBits: 8}), 5, 3},
+	} {
+		spec := tc.spec
+		t.Run(spec.Experiment, func(t *testing.T) {
+			_, ts := startServer(t, Config{Workers: 2})
+			st, _ := submit(t, ts, spec)
+			final := waitTerminal(t, ts, st.ID, 60*time.Second)
+			if final.State != StateDone {
+				t.Fatalf("job %s: %s", final.State, final.Error)
+			}
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result?format=json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var result struct {
+				Resources *JobResources `json:"resources"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&result); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if result.Resources == nil {
+				t.Fatal("result JSON has no resources block")
+			}
 
-	account := &harness.ResourceAccount{}
-	opts := spec.options()
-	opts.Account = account
-	if _, err := harness.RunJob(spec.harnessJob(), opts); err != nil {
-		t.Fatal(err)
-	}
-	want := account.Snapshot()
-	if result.Resources.Resources != want {
-		t.Errorf("HTTP resources = %+v, in-process = %+v", result.Resources.Resources, want)
-	}
-	if want.Legs == 0 || want.SimCycles == 0 || want.Instructions == 0 ||
-		want.L1DAccesses == 0 || want.ContextSwitches == 0 {
-		t.Errorf("in-process account left zero counters: %+v", want)
-	}
-	// Every leg was served by the worker's pool, one way or the other.
-	if got := result.Resources.PoolHits + result.Resources.PoolMisses; got != want.Legs {
-		t.Errorf("pool hits+misses = %d, want %d (one Get per leg)", got, want.Legs)
+			account := &harness.ResourceAccount{}
+			opts := spec.options()
+			opts.Account = account
+			if _, err := harness.RunJob(spec.harnessJob(), opts); err != nil {
+				t.Fatal(err)
+			}
+			want := account.Snapshot()
+			if result.Resources.Resources != want {
+				t.Errorf("HTTP resources = %+v, in-process = %+v", result.Resources.Resources, want)
+			}
+			if want.Legs != tc.runs {
+				t.Errorf("machine runs = %d, want %d", want.Legs, tc.runs)
+			}
+			if tc.pooled > 0 && (want.SimCycles == 0 || want.Instructions == 0 ||
+				want.L1DAccesses == 0 || want.ContextSwitches == 0) {
+				t.Errorf("in-process account left zero counters: %+v", want)
+			}
+			if got := result.Resources.PoolHits + result.Resources.PoolMisses; got != tc.pooled {
+				t.Errorf("pool hits+misses = %d, want %d (one Get per pooled run)", got, tc.pooled)
+			}
+		})
 	}
 }
 

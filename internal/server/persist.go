@@ -306,21 +306,33 @@ func (s *Server) resumeJob(rj *replayedJob) {
 		return
 	}
 
-	legs, err := harness.JobLegs(spec.harnessJob())
+	hj := spec.harnessJob()
+	legs, err := harness.JobLegs(hj)
+	if err == nil && rj.accepted.Legs != 0 && rj.accepted.Legs != legs {
+		// (A coalesced follower journals 0 legs: it was never split.)
+		err = fmt.Errorf("accepted as %d legs, this build splits it into %d", rj.accepted.Legs, legs)
+	}
+	for idx, lr := range rj.legs {
+		if err != nil {
+			break
+		}
+		err = harness.CheckLegTable(hj, idx, &stats.Table{Header: lr.Header, Rows: lr.Rows})
+	}
 	if err != nil {
-		// The spec was valid when accepted; a failure here means the leg
-		// address space changed under the log. Fail the job explicitly.
-		s.registerReplayed(j)
-		s.failReplayed(j, fmt.Errorf("replay: leg count: %w", err))
+		// The spec was valid when accepted, so the leg address space changed
+		// under the log: leg records restored by index would merge rows of
+		// different legs. Fail the job explicitly, before any leg runs.
+		s.mu.Lock()
+		s.jobs[j.id] = j
+		s.order = append(s.order, j.id)
+		s.mu.Unlock()
+		s.finalize(j, fmt.Errorf("replay: leg address space: %w", err))
 		return
 	}
 	j.initLegs(legs)
 	restored := 0
 	j.mu.Lock()
 	for idx, lr := range rj.legs {
-		if idx < 0 || idx >= legs {
-			continue
-		}
 		j.legs[idx].status = legDone
 		j.legs[idx].table = &stats.Table{Header: lr.Header, Rows: lr.Rows}
 		j.legs[idx].res = lr.Resources
@@ -375,26 +387,6 @@ func (s *Server) finishReplayedFromCache(j *job, e *resultcache.Entry) {
 	j.events.publish("progress", mustJSON(map[string]int{"done": meta.Done, "total": meta.Total}))
 	s.publishState(j)
 	s.persistResult(j)
-	j.events.close()
-	close(j.doneCh)
-}
-
-func (s *Server) registerReplayed(j *job) {
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-}
-
-func (s *Server) failReplayed(j *job, err error) {
-	now := s.now()
-	j.mu.Lock()
-	j.state = StateFailed
-	j.errMsg = err.Error()
-	j.finished = now
-	j.mu.Unlock()
-	s.persistResult(j)
-	s.publishState(j)
 	j.events.close()
 	close(j.doneCh)
 }

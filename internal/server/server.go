@@ -12,11 +12,11 @@
 //
 // Execution is coordinator/worker: the coordinator splits each job into
 // its independent sweep legs (harness.JobLegs), leases legs to executors
-// with a lease timeout and bounded retries, and reassembles the per-leg
-// tables positionally (harness.MergeLegTables) so the merged result is
-// byte-identical to a single-process run. Executors are in-process by
-// default (-workers goroutines, one machine.Pool each, so hot simulator
-// state is reused across legs exactly like the batch sweeps) or remote
+// with a lease timeout and bounded retries, and merges the per-leg tables
+// with harness.MergeLegTables — the same legs and merge harness.RunJob runs
+// in process, so the result is byte-identical to a CLI run. Executors are
+// in-process by default (-workers goroutines, one machine.Pool each, so hot
+// simulator state is reused across legs exactly like RunJob's) or remote
 // worker daemons (timecache-serve -worker) speaking the /v1/legs
 // HTTP/JSON protocol; determinism makes the two interchangeable mid-job.
 //
@@ -188,7 +188,7 @@ var (
 
 // Server is the coordinator of the job service: it owns admission (quota,
 // priority, backpressure), the durable log, lease-based leg scheduling, and
-// positional result merging. Leg execution is delegated to executors —
+// result merging. Leg execution is delegated to executors —
 // in-process goroutines and/or remote worker daemons. Create with New,
 // mount via Handler, stop with Drain. The zero value is not usable.
 type Server struct {
@@ -408,10 +408,7 @@ func (s *Server) runLeg(j *job, leg int, epoch uint64, ex legExecutor) {
 			s.expireLease(j, leg, epoch, cancelRun)
 		})
 	}
-	j.mu.Lock()
-	wire := len(j.legs) == 1 // single-leg jobs stream the harness's inner progress
-	j.mu.Unlock()
-	tab, res, wired, err := ex.runLeg(legCtx, j, leg, wire)
+	tab, res, err := ex.runLeg(legCtx, j, leg)
 	if lease != nil {
 		lease.Stop()
 	}
@@ -419,7 +416,7 @@ func (s *Server) runLeg(j *job, leg int, epoch uint64, ex legExecutor) {
 		s.legError(j, leg, epoch, err)
 		return
 	}
-	s.completeLeg(j, leg, epoch, tab, res, wired)
+	s.completeLeg(j, leg, epoch, tab, res)
 }
 
 // expireLease revokes leg's lease if the same epoch still holds it: the leg
@@ -450,8 +447,9 @@ func (s *Server) expireLease(j *job, leg int, epoch uint64, cancelRun context.Ca
 // completeLeg records one leg's result. Stale completions (the lease was
 // revoked and the leg re-issued under a newer epoch) are discarded — the
 // replacement run's result stands, and determinism guarantees the bytes
-// would have been identical anyway. The last leg in triggers finalize.
-func (s *Server) completeLeg(j *job, leg int, epoch uint64, tab *stats.Table, res JobResources, wired bool) {
+// would have been identical anyway. Progress is counted in legs. The last
+// leg in triggers finalize.
+func (s *Server) completeLeg(j *job, leg int, epoch uint64, tab *stats.Table, res JobResources) {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
@@ -467,19 +465,13 @@ func (s *Server) completeLeg(j *job, leg int, epoch uint64, tab *stats.Table, re
 	l.res = res
 	j.legsDone++
 	done, total := j.legsDone, len(j.legs)
-	if !wired {
-		j.done, j.total = done, total
-	}
+	j.done, j.total = done, total
 	j.mu.Unlock()
 	s.metrics.legsCompleted.Add(1)
 	s.persistLeg(j, leg, tab, res)
-	if !wired {
-		// Multi-leg jobs report progress at leg granularity; single-leg jobs
-		// already streamed the harness's finer-grained counts.
-		j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
-		if j.flight != nil {
-			j.flight.Progress(done, total)
-		}
+	j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
+	if j.flight != nil {
+		j.flight.Progress(done, total)
 	}
 	if done == total {
 		s.finalize(j, nil)
@@ -534,7 +526,7 @@ func (s *Server) legError(j *job, leg int, epoch uint64, err error) {
 }
 
 // finalize drives the job to its terminal state exactly once: merge the leg
-// tables positionally, sum the per-leg resource accounts, resolve the
+// tables, sum the per-leg resource accounts, resolve the
 // result-cache flight, persist the terminal record, close the SSE stream,
 // and settle the metrics. Safe to call from racing paths (last leg, cancel,
 // deadline, drain) — the first caller wins.

@@ -234,7 +234,31 @@ func TestSubmitValidation(t *testing.T) {
 		`{"experiment":"nope"}`,
 		`{"experiment":"table2","pairs":["nope"]}`,
 		`{"experiment":"table2","bogus_field":1}`,
-		`{"experiment":"table2","jobs":-1}`,
+		`{"experiment":"table2","jobs":1}`, // no such field: a job has no inner sweep
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s: got %s, want 400", body, resp.Status)
+		}
+	}
+}
+
+// TestSubmitRejectsSweepPoints: sweep points that would mislabel a row or
+// exhaust the daemon's memory are rejected at admission with a 400.
+func TestSubmitRejectsSweepPoints(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 0})
+	for _, body := range []string{
+		`{"experiment":"bookkeeping","slice_ladder":[0]}`,
+		`{"experiment":"bookkeeping","slice_ladder":[100000,0]}`,
+		`{"experiment":"table2","llc_size_kb":1073741824}`,
+		`{"experiment":"llc-sweep","llc_sizes_kb":[1073741824]}`,
+		// 2^54+1 KB wraps to 1 KB when converted to bytes.
+		`{"experiment":"llc-sweep","llc_sizes_kb":[18014398509481985]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -591,7 +615,6 @@ func TestGoldenEquivalence(t *testing.T) {
 		Pairs:         []string{"2Xlbm", "2Xgobmk", "leslie+gobmk"},
 		InstrsPerProc: 60_000,
 		WarmupInstrs:  40_000,
-		Jobs:          2,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %s", resp.Status)

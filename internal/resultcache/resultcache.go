@@ -178,9 +178,6 @@ func (c *Cache) Complete(f *Flight, e *Entry, err error) {
 	f.Finish(e, err)
 }
 
-// Lookup reads the store without admission bookkeeping (no counters move).
-func (c *Cache) Lookup(key string) (*Entry, bool) { return c.store.Get(key) }
-
 // Seed installs an entry without moving any admission counters. Used when a
 // coordinator replays its durable log after a restart: the re-populated
 // results should serve future hits, but replay itself is neither a hit nor

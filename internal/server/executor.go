@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"timecache/internal/harness"
 	"timecache/internal/machine"
 	"timecache/internal/stats"
+	"timecache/internal/telemetry"
 )
 
 // legExecutor runs one leg of one job. The coordinator owns scheduling,
@@ -53,24 +55,27 @@ func newInProcExecutor(s *Server) *inProcExecutor {
 }
 
 func (e *inProcExecutor) runLeg(ctx context.Context, j *job, leg int) (*stats.Table, JobResources, error) {
-	account := &harness.ResourceAccount{}
-	opts := j.spec.options()
-	opts.Ctx = ctx
-	opts.Pool = e.pool
-	opts.Spans = j.trace
-	opts.Now = e.s.clk.Now
-	opts.Account = account
+	return runLocalLeg(ctx, j.spec, leg, e.pool, e.s.clk.Now, j.trace)
+}
 
-	ps0 := e.pool.Stats()
-	tab, err := harness.RunJobLeg(j.spec.harnessJob(), leg, opts)
-	ps1 := e.pool.Stats()
-	res := JobResources{
+// runLocalLeg runs one leg of spec on pool, for in-process executors and
+// worker daemons alike. The resource account includes the pool's
+// hit/miss/eviction delta over the leg; spans, when non-nil, receives the
+// leg's machine-run spans.
+func runLocalLeg(ctx context.Context, spec Spec, leg int, pool *machine.Pool, now func() time.Time,
+	spans telemetry.SpanSink) (*stats.Table, JobResources, error) {
+	account := &harness.ResourceAccount{}
+	opts := spec.options()
+	opts.Ctx, opts.Pool, opts.Spans, opts.Now, opts.Account = ctx, pool, spans, now, account
+	ps0 := pool.Stats()
+	tab, err := harness.RunJobLeg(spec.harnessJob(), leg, opts)
+	ps1 := pool.Stats()
+	return tab, JobResources{
 		Resources:     account.Snapshot(),
 		PoolHits:      ps1.Hits - ps0.Hits,
 		PoolMisses:    ps1.Misses - ps0.Misses,
 		PoolEvictions: ps1.Evictions - ps0.Evictions,
-	}
-	return tab, res, err
+	}, err
 }
 
 // legRequest / legResponse are the coordinator↔worker wire format for one

@@ -272,7 +272,7 @@ type job struct {
 	// flight is the result-cache singleflight this job participates in:
 	// as leader (cacheDisp == cacheMiss, this job runs the simulation and
 	// publishes the entry) or as follower (cacheDisp == cacheCoalesced,
-	// finalized by waitCoalesced when the leader's flight resolves). Nil
+	// ended by waitCoalesced when the leader's flight resolves). Nil
 	// for hits, bypasses, and cache-disabled servers. Written once before
 	// the job is registered, never mutated after.
 	flight *resultcache.Flight
@@ -304,7 +304,7 @@ type job struct {
 	// legs is the job's leg scoreboard (initLegs sizes it from
 	// harness.JobLegs before the job is scheduled). legsDone counts legDone
 	// entries; attempt counts re-executions (lease expiry, worker retry);
-	// wasRunning records that markRunning ran, so finalize knows whether to
+	// wasRunning records that markRunning ran, so terminate knows whether to
 	// decrement the running gauge.
 	legs       []legState
 	legsDone   int
@@ -466,10 +466,13 @@ func newEventLog() *eventLog {
 func (l *eventLog) publish(name string, data []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.publishLocked(event{name: name, data: data})
+}
+
+func (l *eventLog) publishLocked(ev event) {
 	if l.closed {
 		return
 	}
-	ev := event{name: name, data: data}
 	l.hist = append(l.hist, ev)
 	if l.persist != nil {
 		l.persist(ev)
@@ -492,13 +495,14 @@ func (l *eventLog) seed(evs []event) {
 	l.hist = append(l.hist, evs...)
 }
 
-// close ends the stream: no further events are accepted and every
-// subscriber's channel is closed once drained.
-func (l *eventLog) close() {
+// end publishes the stream's last events and closes it in one critical
+// section, so nothing can follow a job's terminal event. Every subscriber's
+// channel is closed once drained.
+func (l *eventLog) end(last ...event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return
+	for _, ev := range last {
+		l.publishLocked(ev)
 	}
 	l.closed = true
 	for ch := range l.subs {

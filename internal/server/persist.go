@@ -7,7 +7,6 @@ import (
 
 	"timecache/internal/harness"
 	"timecache/internal/jobstore"
-	"timecache/internal/resultcache"
 	"timecache/internal/stats"
 	"timecache/internal/telemetry"
 )
@@ -66,20 +65,28 @@ func (s *Server) appendRecord(kind jobstore.Kind, jobID string, payload any) {
 	}
 }
 
-// attachPersistence wires the job's SSE event log into the durable store and
-// journals its acceptance. Called once per job, after admission succeeds and
-// before the first event is published.
+// attachPersistence journals the job's acceptance and wires its SSE event
+// log into the durable store. Called once per submitted job, after
+// admission succeeds and before the first event is published.
 func (s *Server) attachPersistence(j *job) {
 	if s.cfg.Store == nil {
 		return
 	}
 	j.mu.Lock()
 	legs := len(j.legs)
-	created := j.created
 	j.mu.Unlock()
 	s.appendRecord(jobstore.KindAccepted, j.id, acceptedRecord{
-		Spec: j.spec, Created: created, Cache: j.cacheDisp, Legs: legs,
+		Spec: j.spec, Created: j.created, Cache: j.cacheDisp, Legs: legs,
 	})
+	s.journalEvents(j)
+}
+
+// journalEvents routes every event the job publishes from now on into the
+// durable store.
+func (s *Server) journalEvents(j *job) {
+	if s.cfg.Store == nil {
+		return
+	}
 	j.events.persist = func(ev event) {
 		s.appendRecord(jobstore.KindEvent, j.id, eventRecord{Name: ev.name, Data: ev.data})
 	}
@@ -222,91 +229,51 @@ func (s *Server) restoreTerminal(rj *replayedJob) {
 	if res.State == StateDone {
 		j.table = &stats.Table{Header: res.Header, Rows: res.Rows}
 	}
-	j.events.seed(rj.events)
-	j.events.close()
+	// terminate journals the result record before the terminal state event,
+	// so a crash between the two leaves a history without its last event.
+	// That event was never delivered — publish journals an event before
+	// fanning it out — so it is rebuilt from the restored status.
+	hist := rj.events
+	if !endsTerminal(hist) {
+		hist = append(hist, event{name: "state", data: mustJSON(j.status())})
+	}
+	j.events.seed(hist)
+	j.events.end()
 	close(j.doneCh)
+	s.register(j)
 
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-
-	if res.State == StateDone && s.cfg.Cache != nil && !j.spec.NoCache && j.table != nil {
-		s.cfg.Cache.Seed(&resultcache.Entry{
-			Key:      j.spec.cacheKey(),
-			CSV:      []byte(j.table.CSV()),
-			Markdown: []byte(j.table.Markdown()),
-			Table:    j.table,
-			Meta:     mustJSON(cachedMeta{Resources: res.Res, Done: res.Done, Total: res.Total}),
-		})
+	if res.State == StateDone && s.cfg.Cache != nil && !j.spec.NoCache {
+		s.cfg.Cache.Seed(cacheEntry(j.spec.cacheKey(), j.table,
+			cachedMeta{Resources: res.Res, Done: res.Done, Total: res.Total}))
 	}
 }
 
-// resumeJob re-admits an interrupted job: completed legs keep their recorded
-// tables and resource deltas, pending legs go back to the scheduler, and the
-// deadline restarts from now.
+// endsTerminal reports whether a job's event history ends on its terminal
+// state event.
+func endsTerminal(hist []event) bool {
+	if len(hist) == 0 || hist[len(hist)-1].name != "state" {
+		return false
+	}
+	var st Status
+	return json.Unmarshal(hist[len(hist)-1].data, &st) == nil && st.State.Terminal()
+}
+
+// resumeJob re-admits an interrupted job through the same cache admission
+// as a submission (in submission order, so the first live job of a
+// fingerprint leads and later ones re-coalesce — which is how a follower
+// orphaned by its leader's death gets re-led, and an entry seeded by an
+// earlier terminal job ends this one outright). Otherwise completed legs
+// keep their recorded tables and resource deltas, pending legs go back to
+// the scheduler, and the deadline restarts from now.
 func (s *Server) resumeJob(rj *replayedJob) {
-	spec := rj.accepted.Spec
-	j := newJob(rj.id, spec, rj.accepted.Created)
-	j.trace = telemetry.NewSpanRecorder(s.clk.Now)
-	j.log = s.log.With("job", rj.id, "experiment", spec.Experiment)
+	j := s.openJob(rj.id, rj.accepted.Spec, rj.accepted.Created)
 	j.events.seed(rj.events)
-	if s.cfg.Store != nil {
-		j.events.persist = func(ev event) {
-			s.appendRecord(jobstore.KindEvent, j.id, eventRecord{Name: ev.name, Data: ev.data})
-		}
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if spec.TimeoutMS > 0 {
-		timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
-	}
-	s.armJob(j, timeout)
-
-	// Re-run cache admission in submission order. An entry seeded by an
-	// earlier terminal job finishes this one outright; otherwise the first
-	// live job of a fingerprint leads and later ones re-coalesce — which is
-	// how a follower orphaned by its leader's death gets re-led.
-	if s.cfg.Cache != nil && !spec.NoCache {
-		entry, flight, leader := s.cfg.Cache.Begin(spec.cacheKey())
-		switch {
-		case entry != nil:
-			s.finishReplayedFromCache(j, entry)
-			return
-		case leader:
-			flight.SetLeaderTag(j.id)
-			j.flight = flight
-			j.cacheDisp = cacheMiss
-		default:
-			j.flight = flight
-			j.cacheDisp = cacheCoalesced
-		}
-	} else if spec.NoCache && s.cfg.Cache != nil {
-		j.cacheDisp = cacheBypass
-	}
-
-	if j.cacheDisp == cacheCoalesced {
-		s.mu.Lock()
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.mu.Unlock()
-		j.flight.OnProgress(func(done, total int) {
-			j.mu.Lock()
-			if j.state.Terminal() {
-				j.mu.Unlock()
-				return
-			}
-			j.done, j.total = done, total
-			j.mu.Unlock()
-			j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
-		})
-		s.followers.Add(1)
-		go s.waitCoalesced(j)
-		j.log.Info("job replayed as coalesced follower", "leader", j.flight.LeaderTag())
+	s.journalEvents(j)
+	if !s.admitCache(j, func() {}) {
 		return
 	}
 
-	hj := spec.harnessJob()
+	hj := j.spec.harnessJob()
 	legs, err := harness.JobLegs(hj)
 	if err == nil && rj.accepted.Legs != 0 && rj.accepted.Legs != legs {
 		// (A coalesced follower journals 0 legs: it was never split.)
@@ -318,77 +285,34 @@ func (s *Server) resumeJob(rj *replayedJob) {
 		}
 		err = harness.CheckLegTable(hj, idx, &stats.Table{Header: lr.Header, Rows: lr.Rows})
 	}
+	s.takeSlot(j, 0)
+	s.register(j)
 	if err != nil {
 		// The spec was valid when accepted, so the leg address space changed
 		// under the log: leg records restored by index would merge rows of
 		// different legs. Fail the job explicitly, before any leg runs.
-		s.mu.Lock()
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.mu.Unlock()
 		s.finalize(j, fmt.Errorf("replay: leg address space: %w", err))
 		return
 	}
 	j.initLegs(legs)
-	restored := 0
 	j.mu.Lock()
 	for idx, lr := range rj.legs {
 		j.legs[idx].status = legDone
 		j.legs[idx].table = &stats.Table{Header: lr.Header, Rows: lr.Rows}
 		j.legs[idx].res = lr.Resources
 		j.legsDone++
-		restored++
 	}
-	allDone := j.legsDone == legs
-	j.mu.Unlock()
-
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.queued++
-	j.hasSlot = true
-	s.mu.Unlock()
-
-	j.mu.Lock()
+	restored := j.legsDone
 	j.enqueued = s.now()
 	j.mu.Unlock()
 	j.log.Info("job replayed; resuming", "legs", legs, "legs_restored", restored)
-	if allDone {
+	if restored == legs {
 		// Every leg finished but the terminal record was lost: only the
 		// merge remains.
 		s.finalize(j, nil)
 		return
 	}
 	s.sched.enqueue(j)
-}
-
-// finishReplayedFromCache finalizes a resumed job from a seeded cache entry.
-// Unlike finishFromCache it moves no admission metrics — a replayed job is
-// not a new submission.
-func (s *Server) finishReplayedFromCache(j *job, e *resultcache.Entry) {
-	var meta cachedMeta
-	if err := json.Unmarshal(e.Meta, &meta); err != nil {
-		j.log.Warn("cache entry metadata unreadable; serving result without resources", "error", err)
-	}
-	now := s.now()
-	j.mu.Lock()
-	j.state = StateDone
-	j.cacheDisp = cacheHit
-	j.table = e.Table
-	j.resources = meta.Resources
-	j.done, j.total = meta.Done, meta.Total
-	j.finished = now
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-	j.log.Info("replayed job served from result cache", "key", e.Key)
-	j.events.publish("progress", mustJSON(map[string]int{"done": meta.Done, "total": meta.Total}))
-	s.publishState(j)
-	s.persistResult(j)
-	j.events.close()
-	close(j.doneCh)
 }
 
 // compactStore rewrites the durable log: state and leg records of terminal

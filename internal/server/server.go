@@ -175,6 +175,14 @@ func (c Config) retryBackoff() time.Duration {
 	return 250 * time.Millisecond
 }
 
+// jobTimeout is the deadline of a job running spec (zero: unbounded).
+func (c Config) jobTimeout(spec Spec) time.Duration {
+	if spec.TimeoutMS > 0 {
+		return time.Duration(spec.TimeoutMS) * time.Millisecond
+	}
+	return c.DefaultTimeout
+}
+
 // Cancellation causes, distinguished from deadline expiry via
 // context.Cause: a client cancel or a drain hard-stop lands the job in
 // StateCancelled; a deadline (and any run error) is StateFailed.
@@ -525,18 +533,13 @@ func (s *Server) legError(j *job, leg int, epoch uint64, err error) {
 	s.finalize(j, err)
 }
 
-// finalize drives the job to its terminal state exactly once: merge the leg
-// tables, sum the per-leg resource accounts, resolve the
-// result-cache flight, persist the terminal record, close the SSE stream,
-// and settle the metrics. Safe to call from racing paths (last leg, cancel,
-// deadline, drain) — the first caller wins.
+// finalize ends a job whose run is over — every leg done, or the run
+// stopped: merge the leg tables, sum the per-leg resource accounts, map the
+// cause to an outcome, and terminate. Safe to call from racing paths (last
+// leg, cancel, deadline, drain): terminate lets the first caller win.
 func (s *Server) finalize(j *job, runErr error) {
 	runEnd := s.now()
 	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
 	started := j.started
 	if started.IsZero() {
 		started = runEnd
@@ -547,80 +550,141 @@ func (s *Server) finalize(j *job, runErr error) {
 		parts[i] = j.legs[i].table
 		res = res.add(j.legs[i].res)
 	}
-	var tab *stats.Table
-	var mergeErr error
-	if runErr == nil {
-		tab, mergeErr = harness.MergeLegTables(j.spec.harnessJob(), parts)
-	}
-	finished := s.now()
-	j.finished = finished
-	j.resources = &res
-	switch cause := context.Cause(j.ctx); {
-	case runErr == nil && mergeErr == nil:
-		j.state = StateDone
-		j.table = tab
-	case errors.Is(cause, errClientCancel) || errors.Is(cause, errDrainStop):
-		j.state = StateCancelled
-		j.errMsg = cause.Error()
-	case errors.Is(cause, context.DeadlineExceeded):
-		j.state = StateFailed
-		j.errMsg = cause.Error()
-	case mergeErr != nil:
-		j.state = StateFailed
-		j.errMsg = mergeErr.Error()
-	default:
-		j.state = StateFailed
-		j.errMsg = runErr.Error()
-	}
-	state, errMsg := j.state, j.errMsg
-	doneN, totalN := j.done, j.total
-	wasRunning := j.wasRunning
 	j.mu.Unlock()
-	s.releaseQueueSlot(j)
 
-	if j.flight != nil {
-		// Resolve the result-cache flight this job leads: publish the fully
-		// rendered result for future hits and current followers, or fail the
-		// followers with an error naming this job.
-		if state == StateDone {
-			s.cfg.Cache.Complete(j.flight, &resultcache.Entry{
-				Key:      j.flight.Key(),
-				CSV:      []byte(tab.CSV()),
-				Markdown: []byte(tab.Markdown()),
-				Table:    tab,
-				Meta:     mustJSON(cachedMeta{Resources: &res, Done: doneN, Total: totalN}),
-			}, nil)
-		} else {
-			s.cfg.Cache.Complete(j.flight, nil,
-				fmt.Errorf("leader job %s %s: %s", j.id, state, errMsg))
-		}
+	o := outcome{state: StateDone}
+	if runErr == nil {
+		o.table, runErr = harness.MergeLegTables(j.spec.harnessJob(), parts)
 	}
-
+	if runErr != nil {
+		o = failure(j, runErr)
+	}
+	o.res = &res
 	// The run span covers every leg execution; the render stage merges the
 	// slices and finalizes the result. The five lifecycle stages still tile
 	// the job's whole wall time from request arrival to finished.
-	j.trace.Lifecycle("run", started, runEnd, map[string]any{
-		"legs": res.Legs, "sim_cycles": res.SimCycles, "instructions": res.Instructions,
-	})
-	j.trace.Lifecycle("render", runEnd, finished, nil)
+	o.span = func(finished time.Time) {
+		j.trace.Lifecycle("run", started, runEnd, map[string]any{
+			"legs": res.Legs, "sim_cycles": res.SimCycles, "instructions": res.Instructions,
+		})
+		j.trace.Lifecycle("render", runEnd, finished, nil)
+	}
+	s.terminate(j, o)
+}
+
+// outcome is how a job ends: its terminal state, error or table, and
+// resource account.
+type outcome struct {
+	state State
+	err   string
+	table *stats.Table
+	// res is the account of the simulation this job ran itself.
+	res *JobResources
+	// cached is the producer metadata of a result served from the cache:
+	// the job reports that run's resources and progress (replayed as one
+	// progress event) and counts none of its simulation again.
+	cached *cachedMeta
+	// span records the caller's closing lifecycle span(s); only the winning
+	// caller's runs, before the job is observably finished.
+	span func(finished time.Time)
+}
+
+// failure maps why a job stopped to its outcome: a client cancel or a drain
+// hard-stop cancels it; a deadline fails it; otherwise err fails it.
+func failure(j *job, err error) outcome {
+	switch cause := context.Cause(j.ctx); {
+	case errors.Is(cause, errClientCancel) || errors.Is(cause, errDrainStop):
+		return outcome{state: StateCancelled, err: cause.Error()}
+	case errors.Is(cause, context.DeadlineExceeded):
+		return outcome{state: StateFailed, err: cause.Error()}
+	}
+	return outcome{state: StateFailed, err: err.Error()}
+}
+
+// entryOutcome ends a job with a cached result, decoding the producing run's
+// metadata.
+func entryOutcome(j *job, e *resultcache.Entry) outcome {
+	var meta cachedMeta
+	if err := json.Unmarshal(e.Meta, &meta); err != nil {
+		j.log.Warn("cache entry metadata unreadable; serving result without resources", "error", err)
+	}
+	return outcome{state: StateDone, table: e.Table, cached: &meta}
+}
+
+// cacheEntry is a done job's result as the result cache stores it.
+func cacheEntry(key string, tab *stats.Table, meta cachedMeta) *resultcache.Entry {
+	return &resultcache.Entry{
+		Key:      key,
+		CSV:      []byte(tab.CSV()),
+		Markdown: []byte(tab.Markdown()),
+		Table:    tab,
+		Meta:     mustJSON(meta),
+	}
+}
+
+// terminate is the only way a live job becomes terminal, and the first
+// caller wins. It sets the outcome, frees the job's queue slot, resolves the
+// result-cache flight the job leads, journals the result record and then
+// the terminal state event (a log cut between the two replays the missing
+// event from the result, see restoreTerminal), ends the SSE stream, and
+// settles the metrics: one finished count and one duration, finished −
+// started (creation for a job that never ran), for every job that ends in
+// this process.
+func (s *Server) terminate(j *job, o outcome) {
+	j.mu.Lock()
+	if j.state.Terminal() {
+		j.mu.Unlock()
+		return
+	}
+	j.state, j.errMsg, j.table = o.state, o.err, o.table
+	j.resources = o.res
+	if o.cached != nil {
+		j.resources = o.cached.Resources
+		j.done, j.total = o.cached.Done, o.cached.Total
+	}
+	j.finished = s.now()
+	start := j.started
+	if start.IsZero() {
+		start = j.created
+	}
+	finished, done, total, res, wasRunning := j.finished, j.done, j.total, j.resources, j.wasRunning
+	j.mu.Unlock()
+	s.releaseQueueSlot(j)
+	if o.span != nil {
+		o.span(finished)
+	}
+
+	if j.flight != nil && j.cacheDisp == cacheMiss {
+		// Publish the result for future hits and current followers, or fail
+		// the followers with an error naming this job.
+		if o.state == StateDone {
+			s.cfg.Cache.Complete(j.flight, cacheEntry(j.flight.Key(), o.table,
+				cachedMeta{Resources: res, Done: done, Total: total}), nil)
+		} else {
+			s.cfg.Cache.Complete(j.flight, nil, fmt.Errorf("leader job %s %s: %s", j.id, o.state, o.err))
+		}
+	}
+	if o.cached != nil {
+		j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
+	}
 	s.persistResult(j)
-	s.publishState(j)
-	j.events.close()
+	j.events.end(event{name: "state", data: mustJSON(j.status())})
 
 	if wasRunning {
 		s.running.Add(-1)
 		s.metrics.jobsRunning.Store(s.running.Load())
 	}
-	s.metrics.finish(state, j.spec.Experiment, finished.Sub(started))
-	s.metrics.addJob(res)
-	log := j.log.With("state", state, "duration", finished.Sub(started),
-		"legs", res.Legs, "sim_cycles", res.SimCycles,
-		"pool_hits", res.PoolHits, "pool_misses", res.PoolMisses)
-	switch state {
-	case StateDone:
+	s.metrics.finish(o.state, j.spec.Experiment, finished.Sub(start))
+	log := j.log.With("state", o.state, "duration", finished.Sub(start))
+	if o.res != nil {
+		s.metrics.addJob(*o.res)
+		log = log.With("legs", o.res.Legs, "sim_cycles", o.res.SimCycles,
+			"pool_hits", o.res.PoolHits, "pool_misses", o.res.PoolMisses)
+	}
+	if o.state == StateDone {
 		log.Info("job finished")
-	default:
-		log.Warn("job finished", "error", errMsg)
+	} else {
+		log.Warn("job finished", "error", o.err)
 	}
 	close(j.doneCh)
 }
@@ -738,84 +802,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
-	j := newJob(id, spec, reqStart)
-	j.trace = telemetry.NewSpanRecorder(s.clk.Now)
-	j.log = s.log.With("job", id, "experiment", spec.Experiment)
+	j := s.openJob(id, spec, reqStart)
 	j.trace.Lifecycle("validate", reqStart, s.now(), map[string]any{"experiment": spec.Experiment})
 
-	// Result-cache admission. A hit finalizes the job immediately — the job
-	// still gets its own id, status, SSE history, and result endpoints, but
-	// no queue slot, worker, or deadline timer. A miss makes this job the
-	// leader of a singleflight; concurrent identical submissions become
-	// followers finalized from the leader's flight.
-	if s.cfg.Cache != nil {
-		if spec.NoCache {
-			j.cacheDisp = cacheBypass
-			s.metrics.cacheBypass.Add(1)
-		} else {
-			entry, flight, leader := s.cfg.Cache.Begin(spec.cacheKey())
-			switch {
-			case entry != nil:
-				s.finishFromCache(j, entry, reqStart)
-				w.Header().Set(cacheHeader, cacheHit)
-				writeJSON(w, http.StatusAccepted, j.status())
-				return
-			case leader:
-				flight.SetLeaderTag(id)
-				j.flight = flight
-				j.cacheDisp = cacheMiss
-			default:
-				j.flight = flight
-				j.cacheDisp = cacheCoalesced
-			}
-		}
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if spec.TimeoutMS > 0 {
-		timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
-	}
-	s.armJob(j, timeout)
-
-	if j.cacheDisp == cacheCoalesced {
-		s.mu.Lock()
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.mu.Unlock()
+	// Result-cache admission. A hit ends the job at once — it still gets its
+	// own id, status, SSE history, and result endpoints, but no queue slot or
+	// worker. A follower waits on an identical in-flight run; a miss makes
+	// this job the leader of that run.
+	accept := func() {
 		s.attachPersistence(j)
-		// Follower: no queue slot and no worker — the leader's flight
-		// resolves this job. It still has its own deadline timer and
-		// context, and mirrors the leader's progress onto its own SSE
-		// stream. waitCoalesced is the sole finalizer.
-		j.flight.OnProgress(func(done, total int) {
-			j.mu.Lock()
-			if j.state.Terminal() {
-				j.mu.Unlock()
-				return
-			}
-			j.done, j.total = done, total
-			j.mu.Unlock()
-			j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
-		})
-		s.followers.Add(1)
-		go s.waitCoalesced(j)
 		s.metrics.jobsAccepted.Add(1)
-		j.log.Info("job coalesced onto in-flight simulation", "leader", j.flight.LeaderTag())
-		s.publishState(j)
-		w.Header().Set(cacheHeader, cacheCoalesced)
+	}
+	if !s.admitCache(j, accept) {
+		if j.cacheDisp == cacheCoalesced {
+			s.publishState(j)
+		}
+		w.Header().Set(cacheHeader, j.cacheDisp)
 		writeJSON(w, http.StatusAccepted, j.status())
 		return
 	}
+	if j.cacheDisp == cacheBypass {
+		s.metrics.cacheBypass.Add(1)
+	}
 
 	validated := s.now()
-	// Admission-queue backpressure. The depth check and the registration
-	// are one critical section, so no rollback (and no rollback race with a
-	// concurrent submit) is possible: either the job is registered holding
-	// a slot, or it was never visible at all.
-	s.mu.Lock()
-	if s.queued >= s.cfg.queueDepth() {
-		depth := s.cfg.queueDepth()
-		s.mu.Unlock()
+	// Admission-queue backpressure: the slot is taken before the job becomes
+	// visible, so a rejected job needs no rollback.
+	queueLen, ok := s.takeSlot(j, s.cfg.queueDepth())
+	if !ok {
 		// Releases the deadline goroutine too: it selects on ctx.Done.
 		j.cancel(errors.New("rejected: queue full"))
 		if j.flight != nil {
@@ -826,28 +840,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("leader job %s rejected: queue full", id))
 		}
 		s.metrics.jobsRejected.Add(1)
-		j.log.Warn("job rejected: queue full", "queue_depth", depth, "retry_after_s", s.cfg.retryAfter())
+		j.log.Warn("job rejected: queue full", "queue_depth", queueLen, "retry_after_s", s.cfg.retryAfter())
 		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfter()))
 		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("admission queue full (%d queued); retry later", depth))
+			fmt.Errorf("admission queue full (%d queued); retry later", queueLen))
 		return
 	}
-	s.queued++
-	j.hasSlot = true
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	queueLen := s.queued
-	s.mu.Unlock()
-
 	j.initLegs(legs)
-	s.attachPersistence(j)
+	accept()
+	s.register(j)
 	enqueued := s.now()
 	j.mu.Lock()
 	j.enqueued = enqueued
 	j.mu.Unlock()
 	j.trace.Lifecycle("enqueue", validated, enqueued, nil)
-	s.metrics.jobsAccepted.Add(1)
-	j.log.Info("job accepted", "queue_len", queueLen, "timeout", timeout, "legs", legs, "priority", j.priority)
+	j.log.Info("job accepted", "queue_len", queueLen, "timeout", s.cfg.jobTimeout(spec), "legs", legs, "priority", j.priority)
 	s.publishState(j)
 	s.sched.enqueue(j)
 	if j.cacheDisp != "" {
@@ -856,16 +863,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
-// armJob creates the job's cancellable context and, when timeout is
-// positive, its deadline. The deadline is a clock timer, not
+// openJob builds a live job — submitted, or resumed from the log — with its
+// span recorder, job-scoped logger, and cancellable context. When the spec
+// or the server sets a timeout, the deadline is a clock timer, not
 // context.WithDeadline, so a fake clock can expire it deterministically;
-// context.Cause still reads DeadlineExceeded. The timer is released when
-// the job finishes — or, for a job rejected at admission (whose doneCh
-// never closes), when the rejection path cancels the context.
-func (s *Server) armJob(j *job, timeout time.Duration) {
+// context.Cause still reads DeadlineExceeded. The timer is released when the
+// job finishes — or, for a job rejected at admission (whose doneCh never
+// closes), when the rejection path cancels the context.
+func (s *Server) openJob(id string, spec Spec, created time.Time) *job {
+	j := newJob(id, spec, created)
+	j.trace = telemetry.NewSpanRecorder(s.clk.Now)
+	j.log = s.log.With("job", id, "experiment", spec.Experiment)
 	ctx, cancel := context.WithCancelCause(context.Background())
 	j.ctx, j.cancel = ctx, cancel
-	if timeout > 0 {
+	if timeout := s.cfg.jobTimeout(spec); timeout > 0 {
 		timer := s.clk.AfterFunc(timeout, func() {
 			cancel(context.DeadlineExceeded)
 			j.trace.Instant("deadline", s.now(), map[string]any{"timeout_ms": timeout.Milliseconds()})
@@ -879,112 +890,115 @@ func (s *Server) armJob(j *job, timeout time.Duration) {
 			timer.Stop()
 		}()
 	}
+	return j
 }
 
-// finishFromCache finalizes a submission straight from a cache entry: the
-// job goes directly to done with the cached table, rendered bytes, resource
-// snapshot, and progress totals — byte-identical to a cold run by the
-// simulator's determinism. The only lifecycle stage after validate is a
-// single "cache-hit" span; none of the simulation metrics (legs, sim cycles,
-// pool counters) move, which is the observable proof nothing was simulated.
-func (s *Server) finishFromCache(j *job, e *resultcache.Entry, reqStart time.Time) {
-	var meta cachedMeta
-	if err := json.Unmarshal(e.Meta, &meta); err != nil {
-		j.log.Warn("cache entry metadata unreadable; serving result without resources", "error", err)
+// admitCache runs result-cache admission for a submitted or resumed job and
+// reports whether the job must run its own legs: it leads a new flight,
+// bypasses the cache, or the server has none. Otherwise the job is
+// registered and either terminated from the cached entry (a hit) or left
+// waiting on the identical in-flight run (a follower). accept runs just
+// before the job becomes visible (a submission journals its acceptance
+// there, so no request can reach a job whose acceptance is not journaled).
+func (s *Server) admitCache(j *job, accept func()) bool {
+	if s.cfg.Cache == nil {
+		return true
 	}
-	now := s.now()
-	j.mu.Lock()
-	j.state = StateDone
-	j.cacheDisp = cacheHit
-	j.table = e.Table
-	j.resources = meta.Resources
-	j.done, j.total = meta.Done, meta.Total
-	j.finished = now
-	j.mu.Unlock()
-	j.trace.Lifecycle("cache-hit", reqStart, now, map[string]any{"key": e.Key})
+	if j.spec.NoCache {
+		j.cacheDisp = cacheBypass
+		return true
+	}
+	entry, flight, leader := s.cfg.Cache.Begin(j.spec.cacheKey())
+	if leader {
+		flight.SetLeaderTag(j.id)
+		j.flight, j.cacheDisp = flight, cacheMiss
+		return true
+	}
+	j.flight, j.cacheDisp = flight, cacheCoalesced
+	if entry != nil {
+		j.cacheDisp = cacheHit
+	}
+	accept()
+	s.register(j)
+	if entry == nil {
+		s.follow(j)
+		return false
+	}
+	// None of the simulation metrics (legs, sim cycles, pool counters) move:
+	// the observable proof nothing was simulated.
+	j.log.Info("job served from result cache", "key", entry.Key)
+	o := entryOutcome(j, entry)
+	o.span = func(finished time.Time) {
+		j.trace.Lifecycle("cache-hit", j.created, finished, map[string]any{"key": entry.Key})
+	}
+	s.terminate(j, o)
+	return false
+}
 
+// follow wires a coalesced follower: no queue slot and no worker, but its
+// own deadline and context, and its leader's progress mirrored onto its own
+// SSE stream. waitCoalesced ends it.
+func (s *Server) follow(j *job) {
+	j.flight.OnProgress(func(done, total int) {
+		j.mu.Lock()
+		if j.state.Terminal() {
+			j.mu.Unlock()
+			return
+		}
+		j.done, j.total = done, total
+		j.mu.Unlock()
+		j.events.publish("progress", mustJSON(map[string]int{"done": done, "total": total}))
+	})
+	s.followers.Add(1)
+	go s.waitCoalesced(j)
+	j.log.Info("job coalesced onto in-flight simulation", "leader", j.flight.LeaderTag())
+}
+
+// takeSlot reserves an admission-queue slot for a job that will run its
+// legs. With limit > 0 a queue already holding limit jobs refuses it; replay
+// passes 0, since a resumed job was admitted before the crash. It returns
+// the queue length.
+func (s *Server) takeSlot(j *job, limit int) (int, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if limit > 0 && s.queued >= limit {
+		return s.queued, false
+	}
+	s.queued++
+	j.hasSlot = true
+	return s.queued, true
+}
+
+// register makes the job visible in the job table.
+func (s *Server) register(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-	s.attachPersistence(j)
-
-	s.metrics.jobsAccepted.Add(1)
-	s.metrics.finish(StateDone, j.spec.Experiment, now.Sub(reqStart))
-	j.log.Info("job served from result cache", "key", e.Key)
-	j.events.publish("progress", mustJSON(map[string]int{"done": meta.Done, "total": meta.Total}))
-	s.publishState(j)
-	s.persistResult(j)
-	j.events.close()
-	close(j.doneCh)
 }
 
-// waitCoalesced finalizes a follower job when its leader's flight resolves
-// or its own context ends (deadline, client cancel, drain hard-stop),
-// whichever comes first. It is the follower's sole finalizer — the cancel
-// handler only cancels the context and lets this goroutine observe it — so
-// the terminal transition happens exactly once.
+// waitCoalesced ends a follower job when its leader's flight resolves or its
+// own context ends (deadline, client cancel, drain hard-stop), whichever
+// comes first.
 func (s *Server) waitCoalesced(j *job) {
 	defer s.followers.Done()
 	waitStart := s.now()
-	var entry *resultcache.Entry
-	var flightErr error
+	var o outcome
 	select {
 	case <-j.flight.Done():
-		entry, flightErr = j.flight.Result()
-	case <-j.ctx.Done():
-		flightErr = context.Cause(j.ctx)
-	}
-
-	now := s.now()
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	var meta cachedMeta
-	switch cause := context.Cause(j.ctx); {
-	case entry != nil && flightErr == nil:
-		if err := json.Unmarshal(entry.Meta, &meta); err != nil {
-			j.log.Warn("cache entry metadata unreadable; serving result without resources", "error", err)
+		if entry, err := j.flight.Result(); err != nil {
+			o = failure(j, fmt.Errorf("coalesced onto job %s, which did not complete: %w", j.flight.LeaderTag(), err))
+		} else {
+			o = entryOutcome(j, entry)
 		}
-		j.state = StateDone
-		j.table = entry.Table
-		j.resources = meta.Resources
-		j.done, j.total = meta.Done, meta.Total
-	case errors.Is(cause, errClientCancel) || errors.Is(cause, errDrainStop):
-		j.state = StateCancelled
-		j.errMsg = cause.Error()
-	case errors.Is(cause, context.DeadlineExceeded):
-		j.state = StateFailed
-		j.errMsg = cause.Error()
-	default:
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("coalesced onto job %s, which did not complete: %v",
-			j.flight.LeaderTag(), flightErr)
+	case <-j.ctx.Done():
+		o = failure(j, context.Cause(j.ctx))
 	}
-	j.finished = now
-	state, errMsg := j.state, j.errMsg
-	j.mu.Unlock()
-
-	j.trace.Lifecycle("coalesced-wait", waitStart, now,
-		map[string]any{"leader": j.flight.LeaderTag(), "key": j.flight.Key()})
-	if state == StateDone {
-		j.events.publish("progress", mustJSON(map[string]int{"done": meta.Done, "total": meta.Total}))
+	o.span = func(finished time.Time) {
+		j.trace.Lifecycle("coalesced-wait", waitStart, finished,
+			map[string]any{"leader": j.flight.LeaderTag(), "key": j.flight.Key()})
 	}
-	s.persistResult(j)
-	s.publishState(j)
-	j.events.close()
-	// No addJob: this job consumed no simulation resources of its own.
-	s.metrics.finish(state, j.spec.Experiment, now.Sub(waitStart))
-	log := j.log.With("state", state, "leader", j.flight.LeaderTag(), "wait", now.Sub(waitStart))
-	switch state {
-	case StateDone:
-		log.Info("coalesced job finished")
-	default:
-		log.Warn("coalesced job finished", "error", errMsg)
-	}
-	close(j.doneCh)
+	s.terminate(j, o)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1069,33 +1083,19 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, st)
 		return
 	case j.state == StateQueued && j.cacheDisp == cacheCoalesced:
-		// Coalesced follower: cancel the context and let waitCoalesced —
-		// the follower's sole finalizer — observe it; finalizing inline
-		// here would race it.
+		// Coalesced follower: cancel the context and let waitCoalesced end
+		// it, so the follower's trace keeps its coalesced-wait span.
 		j.mu.Unlock()
 		j.cancel(errClientCancel)
 		j.trace.Instant("cancel", s.now(), map[string]any{"while": "coalesced"})
 		j.log.Info("coalesced job cancel requested")
 	case j.state == StateQueued:
-		// Not yet picked up: mark terminal here; the worker skips it.
-		j.state = StateCancelled
-		j.errMsg = errClientCancel.Error()
-		j.finished = s.now()
+		// Not yet picked up: end it here; the scheduler skips a terminal job.
 		j.mu.Unlock()
-		s.releaseQueueSlot(j)
 		j.cancel(errClientCancel)
-		if j.flight != nil {
-			// A flight whose leader never ran: fail the followers now.
-			s.cfg.Cache.Complete(j.flight, nil,
-				fmt.Errorf("leader job %s cancelled while queued", j.id))
-		}
 		j.trace.Instant("cancel", s.now(), map[string]any{"while": "queued"})
 		j.log.Info("job cancelled while queued")
-		s.metrics.finish(StateCancelled, j.spec.Experiment, 0)
-		s.persistResult(j)
-		s.publishState(j)
-		j.events.close()
-		close(j.doneCh)
+		s.terminate(j, failure(j, errClientCancel))
 	default: // running: the worker observes the context and finalizes.
 		j.mu.Unlock()
 		j.cancel(errClientCancel)

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"timecache/internal/clock"
-	"timecache/internal/harness"
 	"timecache/internal/machine"
 )
 
@@ -75,28 +74,13 @@ func (w *worker) handleLeg(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	account := &harness.ResourceAccount{}
-	opts := req.Spec.options()
-	opts.Ctx = r.Context()
-	opts.Now = w.clk.Now
-	opts.Account = account
 	pool := w.pools.Get().(*machine.Pool)
 	defer w.pools.Put(pool)
-	opts.Pool = pool
-
-	ps0 := pool.Stats()
-	tab, err := harness.RunJobLeg(req.Spec.harnessJob(), req.Leg, opts)
-	ps1 := pool.Stats()
+	tab, res, err := runLocalLeg(r.Context(), req.Spec, req.Leg, pool, w.clk.Now, nil)
 	if err != nil {
 		w.log.Warn("leg failed", "experiment", req.Spec.Experiment, "leg", req.Leg, "error", err)
 		writeError(rw, http.StatusUnprocessableEntity, err)
 		return
-	}
-	res := JobResources{
-		Resources:     account.Snapshot(),
-		PoolHits:      ps1.Hits - ps0.Hits,
-		PoolMisses:    ps1.Misses - ps0.Misses,
-		PoolEvictions: ps1.Evictions - ps0.Evictions,
 	}
 	w.log.Info("leg served", "experiment", req.Spec.Experiment, "leg", req.Leg,
 		"rows", len(tab.Rows), "duration", w.clk.Now().Sub(start))

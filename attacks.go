@@ -6,6 +6,14 @@ import (
 	"timecache/internal/replacement"
 )
 
+// attackConfig is the machine an attack mounts against under mode: the
+// mode's defense registry kind on the paper's default geometry, with the
+// attack's own frame budget. Callers add the mitigation knob a public
+// function asks for.
+func attackConfig(mode Mode) machine.Config {
+	return Config{Mode: mode}.machineConfig()
+}
+
 // MicrobenchmarkResult reports the paper's §VI-A1 microbenchmark: an
 // attacker flushes a 256-line shared array, sleeps while the victim writes
 // it, then performs timed reads. Any hit is a successful observation.
@@ -18,7 +26,7 @@ type MicrobenchmarkResult struct {
 // RunMicrobenchmark executes the §VI-A1 microbenchmark attack under the
 // given defense mode.
 func RunMicrobenchmark(mode Mode) (MicrobenchmarkResult, error) {
-	r, err := attack.RunMicrobenchmark(mode.secMode())
+	r, err := attack.RunMicrobenchmark(attackConfig(mode))
 	if err != nil {
 		return MicrobenchmarkResult{}, err
 	}
@@ -53,7 +61,7 @@ func toRSAResult(r attack.RSAResult) RSAAttackResult {
 
 // RunRSAAttack mounts the flush+reload RSA key extraction of §VI-A2.
 func RunRSAAttack(mode Mode, keyBits int, seed uint64) (RSAAttackResult, error) {
-	r, err := attack.RunRSA(mode.secMode(), keyBits, seed)
+	r, err := attack.RunRSA(attackConfig(mode), keyBits, seed)
 	if err != nil {
 		return RSAAttackResult{}, err
 	}
@@ -64,7 +72,7 @@ func RunRSAAttack(mode Mode, keyBits int, seed uint64) (RSAAttackResult, error) 
 // monitored lines with attacker-constructed eviction sets instead of
 // clflush.
 func RunEvictReloadAttack(mode Mode, keyBits int, seed uint64) (RSAAttackResult, error) {
-	r, err := attack.RunEvictReload(mode.secMode(), keyBits, seed)
+	r, err := attack.RunEvictReload(attackConfig(mode), keyBits, seed)
 	if err != nil {
 		return RSAAttackResult{}, err
 	}
@@ -98,7 +106,9 @@ func toSecretResult(r attack.SecretResult) SecretAttackResult {
 // alone does not stop it; constantTimeFlush (a fixed-latency clflush with
 // dummy writeback) does.
 func RunFlushFlushAttack(mode Mode, constantTimeFlush bool, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunFlushFlush(mode.secMode(), constantTimeFlush, bits, seed)
+	cfg := attackConfig(mode)
+	cfg.ConstantTimeFlush = constantTimeFlush
+	r, err := attack.RunFlushFlush(cfg, bits, seed)
 	if err != nil {
 		return SecretAttackResult{}, err
 	}
@@ -109,7 +119,11 @@ func RunFlushFlushAttack(mode Mode, constantTimeFlush bool, bits int, seed uint6
 // no shared memory and is outside TimeCache's threat model; randomizeIndex
 // (CEASER-lite) defeats it.
 func RunPrimeProbeAttack(mode Mode, randomizeIndex bool, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunPrimeProbe(mode.secMode(), randomizeIndex, bits, seed)
+	cfg := attackConfig(mode)
+	if randomizeIndex {
+		cfg.RandomizedIndex = 0xC0FFEE
+	}
+	r, err := attack.RunPrimeProbe(cfg, bits, seed)
 	if err != nil {
 		return SecretAttackResult{}, err
 	}
@@ -120,7 +134,9 @@ func RunPrimeProbeAttack(mode Mode, randomizeIndex bool, bits int, seed uint64) 
 // replacement policy ("lru", "tree-plru", or "random"); random replacement
 // destroys the channel.
 func RunLRUAttack(mode Mode, policy string, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunLRU(mode.secMode(), replacement.Kind(policy), bits, seed)
+	cfg := attackConfig(mode)
+	cfg.Policy = replacement.Kind(policy)
+	r, err := attack.RunLRU(cfg, bits, seed)
 	if err != nil {
 		return SecretAttackResult{}, err
 	}
@@ -132,7 +148,7 @@ func RunLRUAttack(mode Mode, policy string, bits int, seed uint64) (SecretAttack
 // L1 caches (paper §III covers this placement; per-hardware-context s-bits
 // defend it with no context switches involved).
 func RunSMTAttack(mode Mode, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunSMT(mode.secMode(), bits, seed)
+	r, err := attack.RunSMT(attackConfig(mode), bits, seed)
 	if err != nil {
 		return SecretAttackResult{}, err
 	}
@@ -142,7 +158,7 @@ func RunSMTAttack(mode Mode, bits int, seed uint64) (SecretAttackResult, error) 
 // RunCoherenceAttack mounts the invalidate+transfer attack (§VII-B) across
 // two cores; TimeCache removes the remote-forward timing difference.
 func RunCoherenceAttack(mode Mode, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunCoherence(mode.secMode(), bits, seed)
+	r, err := attack.RunCoherence(attackConfig(mode), bits, seed)
 	if err != nil {
 		return SecretAttackResult{}, err
 	}
@@ -155,7 +171,7 @@ func RunCoherenceAttack(mode Mode, bits int, seed uint64) (SecretAttackResult, e
 // eviction sets. Address-based defenses (s-bits, presence bits) leave it
 // intact; way partitioning or TTL-based eviction break it.
 func RunLLCOccupancyAttack(mode Mode, bits int, seed uint64) (SecretAttackResult, error) {
-	r, err := attack.RunLLCOccupancy(machine.Config{Mode: mode.secMode()}, bits, seed)
+	r, err := attack.RunLLCOccupancy(attackConfig(mode), bits, seed)
 	if err != nil {
 		return SecretAttackResult{}, err
 	}
@@ -175,7 +191,7 @@ type SpectreResult struct {
 // the reuse channel also breaks Spectre's transmission: the attacker
 // recovers the secret on the baseline and learns nothing under TimeCache.
 func RunSpectreChannel(mode Mode, secret []byte) (SpectreResult, error) {
-	r, err := attack.RunSpectre(mode.secMode(), secret)
+	r, err := attack.RunSpectre(attackConfig(mode), secret)
 	if err != nil {
 		return SpectreResult{}, err
 	}
@@ -195,7 +211,7 @@ type EvictTimeResult struct {
 
 // RunEvictTimeAttack measures the evict+time channel of §VII-D.
 func RunEvictTimeAttack(mode Mode, iters int) (EvictTimeResult, error) {
-	r, err := attack.RunEvictTime(mode.secMode(), iters)
+	r, err := attack.RunEvictTime(attackConfig(mode), iters)
 	if err != nil {
 		return EvictTimeResult{}, err
 	}

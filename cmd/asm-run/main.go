@@ -36,16 +36,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var mode timecache.Mode
-	switch *modeFlag {
-	case "baseline":
-		mode = timecache.Baseline
-	case "timecache":
-		mode = timecache.TimeCache
-	case "ftm":
-		mode = timecache.FTM
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *modeFlag))
+	mode, err := timecache.ParseMode(*modeFlag)
+	if err != nil {
+		fatal(err)
 	}
 
 	sys, err := timecache.New(timecache.Config{Mode: mode})

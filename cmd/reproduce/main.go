@@ -92,9 +92,9 @@ func run(args []string, stdout io.Writer) (err error) {
 		resources = fs.String("resources", "", "write aggregate resource counters (cycles, instructions, cache accesses, switches, s-bit delayed loads) as JSON to this path at exit")
 
 		withTelemetry = fs.Bool("telemetry", false, "attach telemetry to every run: interval metrics + run manifests next to the CSVs in -out")
-		metricsOut    = fs.String("metrics-out", "", "interval-metrics CSV base path (suffixed per workload/mode)")
-		traceJSON     = fs.String("trace-json", "", "Chrome trace-event JSON base path (suffixed per workload/mode)")
-		manifest      = fs.String("manifest", "", "run-manifest JSON base path (suffixed per workload/mode)")
+		metricsOut    = fs.String("metrics-out", "", "interval-metrics CSV base path (suffixed per machine run: _<experiment>_<leg>_<run>, e.g. metrics_llc-sweep_3_2Xlbm-timecache.csv)")
+		traceJSON     = fs.String("trace-json", "", "Chrome trace-event JSON base path (suffixed per machine run: _<experiment>_<leg>_<run>)")
+		manifest      = fs.String("manifest", "", "run-manifest JSON base path (suffixed per machine run: _<experiment>_<leg>_<run>, e.g. manifest_table2_0_2Xlbm-baseline.json)")
 		sampleEvery   = fs.Uint64("sample-every", 0, "interval sampler period in instructions (default 10000)")
 	)
 	if err := fs.Parse(args); err != nil {

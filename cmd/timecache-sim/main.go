@@ -109,7 +109,7 @@ func main() {
 		}
 		return
 	}
-	mode, err := parseMode(*modeFlag)
+	mode, err := timecache.ParseMode(*modeFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -119,18 +119,6 @@ func main() {
 	}
 	printStats(mode, cycles, st)
 	reportTelemetry(col, *showHist)
-}
-
-func parseMode(s string) (timecache.Mode, error) {
-	switch strings.ToLower(s) {
-	case "baseline":
-		return timecache.Baseline, nil
-	case "timecache":
-		return timecache.TimeCache, nil
-	case "ftm":
-		return timecache.FTM, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
 }
 
 // expand turns "2Xlbm" into ["lbm","lbm"] and passes other names through.

@@ -6,6 +6,15 @@
 // Attackers are native sim.Procs: deterministic state machines that issue
 // timed loads and flushes through the simulated hierarchy, exactly like the
 // paper's attacker programs issue rdtsc-fenced loads and clflush.
+//
+// Each attack has exactly one entry point, RunX(cfg machine.Config, …), and
+// the machine.Config is its only defense input: cfg.Defense selects the
+// registry kind (so the defense×attack matrix and the standalone suite run
+// the same code), and the mitigation knobs an attack studies ride along in
+// the same config — ConstantTimeFlush for flush+flush, RandomizedIndex for
+// prime+probe, Policy for the LRU attack, MaxSharers for the
+// limited-pointer tracker. An attack that needs a particular placement
+// (two cores, two hardware threads) forces Cores or ThreadsPerCore itself.
 package attack
 
 import (
@@ -23,16 +32,10 @@ type Machine struct {
 	K *kernel.Kernel
 }
 
-// NewMachine builds a simulated machine with the given hierarchy mode and
-// core count, using the paper's default geometry.
-func NewMachine(mode cache.SecMode, cores int) *Machine {
-	return NewMachineConfig(machine.Config{Mode: mode, Cores: cores})
-}
-
-// NewMachineConfig assembles a machine from the given configuration. When
-// cfg.PhysFrames is zero it applies the attack frame budget — LLC working
-// sets plus eviction sets plus slack — instead of the machine default.
-func NewMachineConfig(cfg machine.Config) *Machine {
+// NewMachine assembles a machine from cfg. When cfg.PhysFrames is zero it
+// applies the attack frame budget — LLC working sets plus eviction sets plus
+// slack — instead of the machine default.
+func NewMachine(cfg machine.Config) *Machine {
 	if cfg.PhysFrames == 0 {
 		cfg.PhysFrames = 4096 + 4*cfg.HierarchyConfig().LLCSize/mem.PageSize
 	}

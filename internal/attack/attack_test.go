@@ -4,21 +4,29 @@ import (
 	"testing"
 
 	"timecache/internal/cache"
+	"timecache/internal/defense"
 	"timecache/internal/kernel"
 	"timecache/internal/machine"
 	"timecache/internal/replacement"
 	"timecache/internal/sim"
 )
 
+// The defense configurations the tests mount attacks against, selected by
+// registry kind like every other caller of the attack entry points.
+var (
+	undefended = machine.Config{Defense: defense.None}
+	timeCache  = machine.Config{Defense: defense.TimeCache}
+)
+
 func TestMicrobenchmarkBaselineVsTimeCache(t *testing.T) {
-	base, err := RunMicrobenchmark(cache.SecOff)
+	base, err := RunMicrobenchmark(undefended)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Hits < base.Lines*9/10 {
 		t.Fatalf("baseline attack should hit nearly all %d lines, got %d", base.Lines, base.Hits)
 	}
-	def, err := RunMicrobenchmark(cache.SecTimeCache)
+	def, err := RunMicrobenchmark(timeCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +40,7 @@ func TestMicrobenchmarkBaselineVsTimeCache(t *testing.T) {
 
 func TestRSAFlushReload(t *testing.T) {
 	const bits = 64
-	base, err := RunRSA(cache.SecOff, bits, 12345)
+	base, err := RunRSA(undefended, bits, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +51,7 @@ func TestRSAFlushReload(t *testing.T) {
 		t.Fatalf("baseline key recovery accuracy %.2f, want >= 0.95 (key %s, got %s)",
 			base.Accuracy, base.Key, base.Recovered)
 	}
-	def, err := RunRSA(cache.SecTimeCache, bits, 12345)
+	def, err := RunRSA(timeCache, bits, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +78,7 @@ func TestRSAFTMFailsAgainstSameCoreAttack(t *testing.T) {
 	// FTM only tracks per-core presence at the LLC: a same-core attacker
 	// and victim share the core's presence bit, so the attack goes through
 	// (the paper's argument for TimeCache's stronger threat model).
-	res, err := RunRSA(cache.SecFTM, 48, 99)
+	res, err := RunRSA(machine.Config{Defense: defense.FTM}, 48, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +89,7 @@ func TestRSAFTMFailsAgainstSameCoreAttack(t *testing.T) {
 
 func TestEvictReload(t *testing.T) {
 	const bits = 32
-	base, err := RunEvictReload(cache.SecOff, bits, 777)
+	base, err := RunEvictReload(undefended, bits, 777)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +97,7 @@ func TestEvictReload(t *testing.T) {
 		t.Fatalf("baseline evict+reload accuracy %.2f (key %s, got %s)",
 			base.Accuracy, base.Key, base.Recovered)
 	}
-	def, err := RunEvictReload(cache.SecTimeCache, bits, 777)
+	def, err := RunEvictReload(timeCache, bits, 777)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +109,7 @@ func TestEvictReload(t *testing.T) {
 func TestFlushFlush(t *testing.T) {
 	const bits = 48
 	// Flush+flush bypasses reuse hits: TimeCache alone does not stop it.
-	leaky, err := RunFlushFlush(cache.SecTimeCache, false, bits, 5)
+	leaky, err := RunFlushFlush(timeCache, bits, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +117,7 @@ func TestFlushFlush(t *testing.T) {
 		t.Fatalf("flush+flush should leak under TimeCache alone, accuracy %.2f", leaky.Accuracy)
 	}
 	// The constant-time clflush mitigation closes it.
-	fixed, err := RunFlushFlush(cache.SecTimeCache, true, bits, 5)
+	fixed, err := RunFlushFlush(machine.Config{Defense: defense.TimeCache, ConstantTimeFlush: true}, bits, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +129,7 @@ func TestFlushFlush(t *testing.T) {
 func TestPrimeProbe(t *testing.T) {
 	const bits = 32
 	// Contention channel: works on the baseline...
-	base, err := RunPrimeProbe(cache.SecOff, false, bits, 21)
+	base, err := RunPrimeProbe(undefended, bits, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +137,7 @@ func TestPrimeProbe(t *testing.T) {
 		t.Fatalf("prime+probe baseline accuracy %.2f", base.Accuracy)
 	}
 	// ...and TimeCache does not claim to stop it (out of threat model).
-	tc, err := RunPrimeProbe(cache.SecTimeCache, false, bits, 21)
+	tc, err := RunPrimeProbe(timeCache, bits, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +145,7 @@ func TestPrimeProbe(t *testing.T) {
 		t.Fatalf("prime+probe should still work under TimeCache, accuracy %.2f", tc.Accuracy)
 	}
 	// Index randomization (CEASER-lite) breaks eviction-set construction.
-	rnd, err := RunPrimeProbe(cache.SecOff, true, bits, 21)
+	rnd, err := RunPrimeProbe(machine.Config{Defense: defense.None, RandomizedIndex: 0xC0FFEE}, bits, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +158,7 @@ func TestLRUAttack(t *testing.T) {
 	const bits = 32
 	// The LRU state channel survives TimeCache (replacement metadata still
 	// updates on delayed first accesses)...
-	tc, err := RunLRU(cache.SecTimeCache, replacement.LRU, bits, 31)
+	tc, err := RunLRU(machine.Config{Defense: defense.TimeCache, Policy: replacement.LRU}, bits, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +166,7 @@ func TestLRUAttack(t *testing.T) {
 		t.Fatalf("LRU attack should work under TimeCache+LRU, accuracy %.2f", tc.Accuracy)
 	}
 	// ...and random replacement destroys it.
-	rnd, err := RunLRU(cache.SecTimeCache, replacement.Random, bits, 31)
+	rnd, err := RunLRU(machine.Config{Defense: defense.TimeCache, Policy: replacement.Random}, bits, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +177,14 @@ func TestLRUAttack(t *testing.T) {
 
 func TestCoherenceInvalidateTransfer(t *testing.T) {
 	const bits = 32
-	base, err := RunCoherence(cache.SecOff, bits, 17)
+	base, err := RunCoherence(undefended, bits, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Accuracy < 0.9 {
 		t.Fatalf("invalidate+transfer baseline accuracy %.2f", base.Accuracy)
 	}
-	def, err := RunCoherence(cache.SecTimeCache, bits, 17)
+	def, err := RunCoherence(timeCache, bits, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,20 +194,20 @@ func TestCoherenceInvalidateTransfer(t *testing.T) {
 }
 
 func TestEvictTimeLeaksEitherWay(t *testing.T) {
-	for _, mode := range []cache.SecMode{cache.SecOff, cache.SecTimeCache} {
-		res, err := RunEvictTime(mode, 2000)
+	for _, cfg := range []machine.Config{undefended, timeCache} {
+		res, err := RunEvictTime(cfg, 2000)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%s: %v", cfg.Defense, err)
 		}
 		if !res.Leaks() {
-			t.Fatalf("%v: evict+time difference missing: flushed=%d undisturbed=%d",
-				mode, res.VictimCyclesFlushed, res.VictimCyclesUndisturbed)
+			t.Fatalf("%s: evict+time difference missing: flushed=%d undisturbed=%d",
+				cfg.Defense, res.VictimCyclesFlushed, res.VictimCyclesUndisturbed)
 		}
 	}
 }
 
 func TestBuildEvictionSetConflicts(t *testing.T) {
-	m := NewMachine(cache.SecOff, 1)
+	m := NewMachine(undefended)
 	as, err := m.MapSharedAt("es", cache.LineSize)
 	if err != nil {
 		t.Fatal(err)
@@ -229,14 +237,14 @@ func TestSMTHyperthreadAttack(t *testing.T) {
 	const bits = 32
 	// Attacker and victim on sibling hardware threads of one core, sharing
 	// the L1: the strongest placement in the paper's threat model.
-	base, err := RunSMT(cache.SecOff, bits, 9)
+	base, err := RunSMT(undefended, bits, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Accuracy < 0.9 {
 		t.Fatalf("SMT flush+reload should succeed on baseline, accuracy %.2f", base.Accuracy)
 	}
-	def, err := RunSMT(cache.SecTimeCache, bits, 9)
+	def, err := RunSMT(timeCache, bits, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +261,8 @@ func TestSMTHyperthreadAttack(t *testing.T) {
 // differ (that difference IS the leak).
 func TestNonInterference(t *testing.T) {
 	const bits = 48
-	run := func(mode cache.SecMode, seed uint64) [][]uint64 {
-		r, err := RunRSA(mode, bits, seed)
+	run := func(cfg machine.Config, seed uint64) [][]uint64 {
+		r, err := RunRSA(cfg, bits, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,11 +285,11 @@ func TestNonInterference(t *testing.T) {
 		return true
 	}
 	// Two different keys (seeds chosen to give different bit patterns).
-	tcA, tcB := run(cache.SecTimeCache, 1), run(cache.SecTimeCache, 2)
+	tcA, tcB := run(timeCache, 1), run(timeCache, 2)
 	if !same(tcA, tcB) {
 		t.Fatal("TimeCache: attacker latency sequences differ across keys — information leaks")
 	}
-	baseA, baseB := run(cache.SecOff, 1), run(cache.SecOff, 2)
+	baseA, baseB := run(undefended, 1), run(undefended, 2)
 	if same(baseA, baseB) {
 		t.Fatal("baseline: latency sequences identical across keys — the channel the test relies on is gone")
 	}
@@ -289,7 +297,7 @@ func TestNonInterference(t *testing.T) {
 
 func TestSpectreCovertChannel(t *testing.T) {
 	secret := []byte("SPECULATE!")
-	base, err := RunSpectre(cache.SecOff, secret)
+	base, err := RunSpectre(undefended, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +305,7 @@ func TestSpectreCovertChannel(t *testing.T) {
 		t.Fatalf("baseline Spectre transmission should work, recovered %q (%.0f%%)",
 			base.Recovered, base.Accuracy()*100)
 	}
-	def, err := RunSpectre(cache.SecTimeCache, secret)
+	def, err := RunSpectre(timeCache, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +319,7 @@ func TestSpectreCovertChannel(t *testing.T) {
 
 func TestDiscoverEvictionSetByTiming(t *testing.T) {
 	// Use a small LLC so the timing-only group reduction stays fast.
-	m := NewMachineConfig(machine.Config{L1Size: 4 << 10, LLCSize: 64 << 10}) // 64 sets x 16 ways
+	m := NewMachine(machine.Config{L1Size: 4 << 10, LLCSize: 64 << 10}) // 64 sets x 16 ways
 	as := kernel.NewAddressSpace(m.K.Physical())
 	if err := as.MapAnon(0x7000_0000, 4096, true); err != nil {
 		t.Fatal(err)
@@ -356,10 +364,7 @@ func TestLimitedPointerTrackerStillDefends(t *testing.T) {
 	// The §VI-C limited-pointer area optimization must not weaken the
 	// defense: the RSA attack observes zero hits with a 1-slot tracker too
 	// (overflow only ever removes visibility).
-	m := NewMachineConfig(machine.Config{Mode: cache.SecTimeCache, MaxSharers: 1})
-	_ = m // machine construction checked; run the standard attack path below
-
-	base, err := RunRSALimited(cache.SecTimeCache, 1, 48, 5)
+	base, err := RunRSA(machine.Config{Defense: defense.TimeCache, MaxSharers: 1}, 48, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +378,7 @@ func TestLimitedPointerTrackerStillDefends(t *testing.T) {
 
 func TestRSABigNumberVictim(t *testing.T) {
 	const bits = 48
-	base, err := RunRSABig(cache.SecOff, bits, 2024)
+	base, err := RunRSABig(undefended, bits, 2024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +389,7 @@ func TestRSABigNumberVictim(t *testing.T) {
 		t.Fatalf("baseline big-number attack accuracy %.2f (key %s, got %s)",
 			base.Accuracy, base.Key, base.Recovered)
 	}
-	def, err := RunRSABig(cache.SecTimeCache, bits, 2024)
+	def, err := RunRSABig(timeCache, bits, 2024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,8 +408,7 @@ func TestHolisticDefenseComposition(t *testing.T) {
 	const bits = 24
 
 	// Reuse attack against the composed defense: still zero hits.
-	m := NewMachineConfig(machine.Config{Mode: cache.SecTimeCache, RandomizedIndex: 0xFEED})
-	rsaRes, err := runRSAOn(m, bits, 11)
+	rsaRes, err := RunRSA(machine.Config{Defense: defense.TimeCache, RandomizedIndex: 0xFEED}, bits, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +418,7 @@ func TestHolisticDefenseComposition(t *testing.T) {
 
 	// Contention attack against the composed defense: eviction sets no
 	// longer map to one set, so prime+probe collapses to chance.
-	pp, err := RunPrimeProbe(cache.SecTimeCache, true, bits, 11)
+	pp, err := RunPrimeProbe(machine.Config{Defense: defense.TimeCache, RandomizedIndex: 0xC0FFEE}, bits, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +434,7 @@ func TestFTMDefendsCrossCoreOnly(t *testing.T) {
 	// TestRSAFTMFailsAgainstSameCoreAttack is exactly the paper's argument
 	// for TimeCache's stronger threat model.
 	const bits = 24
-	base, err := RunSMT(cache.SecOff, bits, 13) // 2 hardware contexts, no switches
+	base, err := RunSMT(undefended, bits, 13) // 2 hardware contexts, no switches
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +442,7 @@ func TestFTMDefendsCrossCoreOnly(t *testing.T) {
 		t.Fatalf("undefended cross-context attack should work, accuracy %.2f", base.Accuracy)
 	}
 	// Same placement on separate CORES under FTM: cross-core reuse blocked.
-	m := NewMachineConfig(machine.Config{Mode: cache.SecFTM, Cores: 2})
+	m := NewMachine(machine.Config{Defense: defense.FTM, Cores: 2})
 	asA, err := m.MapSharedAt("ftmx", cache.LineSize)
 	if err != nil {
 		t.Fatal(err)

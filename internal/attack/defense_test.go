@@ -9,19 +9,19 @@ import (
 	"timecache/internal/machine"
 )
 
-// TestAttackDefenseConfigEquivalence: every attack's Config entry point,
-// given a registry Defense kind, reproduces the mode-based entry point's
-// result exactly — the matrix job's attack cells measure the same channels
-// the standalone attack suite always did.
+// TestAttackDefenseConfigEquivalence: every attack entry point, given a
+// registry Defense kind, reproduces the result of the same entry point given
+// the structural Mode of the same name exactly — the matrix job's attack
+// cells and the public per-Mode attacks measure the same channels.
 func TestAttackDefenseConfigEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	want, err := RunRSA(cache.SecTimeCache, 48, 99)
+	want, err := RunRSA(machine.Config{Mode: cache.SecTimeCache}, 48, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunRSAConfig(machine.Config{Defense: defense.TimeCache}, 48, 99)
+	got, err := RunRSA(machine.Config{Defense: defense.TimeCache}, 48, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +29,11 @@ func TestAttackDefenseConfigEquivalence(t *testing.T) {
 		t.Errorf("flush+reload: registry spelling diverged:\n got %+v\nwant %+v", got, want)
 	}
 
-	ffWant, err := RunFlushFlush(cache.SecOff, false, 16, 7)
+	ffWant, err := RunFlushFlush(machine.Config{Mode: cache.SecOff}, 16, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffGot, err := RunFlushFlushConfig(machine.Config{Defense: defense.None}, 16, 7)
+	ffGot, err := RunFlushFlush(machine.Config{Defense: defense.None}, 16, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestAttackDefenseConfigEquivalence(t *testing.T) {
 		t.Errorf("flush+flush: registry spelling diverged:\n got %+v\nwant %+v", ffGot, ffWant)
 	}
 
-	smtWant, err := RunSMT(cache.SecTimeCache, 8, 5)
+	smtWant, err := RunSMT(machine.Config{Mode: cache.SecTimeCache}, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smtGot, err := RunSMTConfig(machine.Config{Defense: defense.TimeCache}, 8, 5)
+	smtGot, err := RunSMT(machine.Config{Defense: defense.TimeCache}, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"timecache/internal/cache"
+	"timecache/internal/kernel"
 	"timecache/internal/machine"
 	"timecache/internal/rsa"
 	"timecache/internal/sim"
@@ -95,9 +96,9 @@ func (v *microVictim) Step(env sim.Env) bool {
 // memory-mapped array, an attacker that flushes/sleeps/times, and a victim
 // that writes the array during the attacker's sleep. On the baseline every
 // line hits; with TimeCache the attacker must observe zero hits.
-func RunMicrobenchmark(mode cache.SecMode) (MicrobenchResult, error) {
+func RunMicrobenchmark(cfg machine.Config) (MicrobenchResult, error) {
 	const lines = 256
-	m := NewMachine(mode, 1)
+	m := NewMachine(cfg)
 	size := uint64(lines * cache.LineSize)
 
 	asA, err := m.MapSharedAt("shrd_mem", size)
@@ -148,58 +149,37 @@ type RSAResult struct {
 	Latencies [][]uint64
 }
 
-// RunRSA mounts the flush+reload attack on the square-and-multiply victim:
-// the attacker monitors the Square, Multiply, and Reduce entry lines of the
-// shared GnuPG-like library while the victim exponentiates with a secret
-// key, recovering one key bit per interleaved round from whether Multiply
-// was observed.
-func RunRSA(mode cache.SecMode, keyBits int, seed uint64) (RSAResult, error) {
-	return runRSAOn(NewMachine(mode, 1), keyBits, seed)
+// rsaTargets are the monitored entry lines of the shared library: Square,
+// Multiply and Reduce, in the prober's target order.
+func rsaTargets(lib rsa.Library) []uint64 {
+	return []uint64{lib.SquareAddr(), lib.MultiplyAddr(), lib.ReduceAddr()}
 }
 
-// RunRSAConfig mounts the flush+reload RSA attack on a machine assembled
-// from cfg (the defense×attack matrix selects the defense through
-// cfg.Defense).
-func RunRSAConfig(cfg machine.Config, keyBits int, seed uint64) (RSAResult, error) {
-	return runRSAOn(NewMachineConfig(cfg), keyBits, seed)
+// mapRSALibrary maps the shared library under region key into a victim and
+// an attacker address space.
+func mapRSALibrary(m *Machine, key string, lib rsa.Library) (asV, asA *kernel.AddressSpace, err error) {
+	if asV, err = m.MapSharedAt(key, lib.Size()); err != nil {
+		return nil, nil, err
+	}
+	if asA, err = m.MapSharedAt(key, lib.Size()); err != nil {
+		return nil, nil, err
+	}
+	return asV, asA, nil
 }
 
-// runRSAOn mounts the flush+reload RSA attack on an existing machine.
-func runRSAOn(m *Machine, keyBits int, seed uint64) (RSAResult, error) {
-	lib := rsa.DefaultLibrary(sharedBase)
-	key := rsa.GenerateKey(keyBits, seed)
-	const base, modulus = 0x10001, 0xFFFFFFFB // 2^32-5, prime
-
-	asV, err := m.MapSharedAt("gnupg", lib.Size())
-	if err != nil {
-		return RSAResult{}, err
-	}
-	asA, err := m.MapSharedAt("gnupg", lib.Size())
-	if err != nil {
-		return RSAResult{}, err
-	}
-
-	vic := rsa.NewVictim(lib, key, base, modulus)
-	prober := NewProber(m, []uint64{lib.SquareAddr(), lib.MultiplyAddr(), lib.ReduceAddr()}, keyBits+1)
-
-	// The victim is spawned first so each of its per-bit yields hands the
-	// CPU to the attacker for one probe round: round i observes bit i.
-	if _, err := m.K.Spawn("gpg", vic, asV, 0); err != nil {
-		return RSAResult{}, err
-	}
-	if _, err := m.K.Spawn("spy", prober, asA, 0); err != nil {
-		return RSAResult{}, err
-	}
-	m.K.Run(2_000_000_000)
+// finishRSA runs an RSA attack whose victim and prober are spawned, victim
+// first, for at most budget cycles and scores it: round i's Multiply hit is
+// the guess for key bit i. correct reports whether the victim computed the
+// reference result.
+func finishRSA(m *Machine, name string, budget uint64, key rsa.Key, prober *Prober, correct func() bool) (RSAResult, error) {
+	m.K.Run(budget)
 	if !m.K.AllExited() {
-		return RSAResult{}, fmt.Errorf("attack: RSA attack did not finish")
+		return RSAResult{}, fmt.Errorf("attack: %s did not finish", name)
 	}
-
-	res := RSAResult{Key: key, Hits: prober.Hits(), Latencies: prober.Lat}
-	res.VictimCorrect = vic.Result == rsa.ModExp(base, key, modulus)
-	recovered := make(rsa.Key, 0, keyBits)
+	res := RSAResult{Key: key, Hits: prober.Hits(), Latencies: prober.Lat, VictimCorrect: correct()}
+	recovered := make(rsa.Key, 0, len(key))
 	for _, row := range prober.Obs {
-		if len(recovered) == keyBits {
+		if len(recovered) == len(key) {
 			break
 		}
 		if row[0] {
@@ -215,26 +195,50 @@ func runRSAOn(m *Machine, keyBits int, seed uint64) (RSAResult, error) {
 	return res, nil
 }
 
+// RunRSA mounts the flush+reload attack on the square-and-multiply victim:
+// the attacker monitors the Square, Multiply, and Reduce entry lines of the
+// shared GnuPG-like library while the victim exponentiates with a secret
+// key, recovering one key bit per interleaved round from whether Multiply
+// was observed. cfg.MaxSharers > 0 runs it against the limited-pointer
+// s-bit tracker (§VI-C).
+func RunRSA(cfg machine.Config, keyBits int, seed uint64) (RSAResult, error) {
+	m := NewMachine(cfg)
+	lib := rsa.DefaultLibrary(sharedBase)
+	key := rsa.GenerateKey(keyBits, seed)
+	const base, modulus = 0x10001, 0xFFFFFFFB // 2^32-5, prime
+	asV, asA, err := mapRSALibrary(m, "gnupg", lib)
+	if err != nil {
+		return RSAResult{}, err
+	}
+	vic := rsa.NewVictim(lib, key, base, modulus)
+	prober := NewProber(m, rsaTargets(lib), keyBits+1)
+	// The victim is spawned first so each of its per-bit yields hands the
+	// CPU to the attacker for one probe round: round i observes bit i.
+	if _, err := m.K.Spawn("gpg", vic, asV, 0); err != nil {
+		return RSAResult{}, err
+	}
+	if _, err := m.K.Spawn("spy", prober, asA, 0); err != nil {
+		return RSAResult{}, err
+	}
+	return finishRSA(m, "RSA attack", 2_000_000_000, key, prober,
+		func() bool { return vic.Result == rsa.ModExp(base, key, modulus) })
+}
+
 // RunEvictReload is the evict+reload variant of the RSA attack: instead of
 // clflush the attacker evicts the monitored lines by touching eviction sets
 // it constructed for the LLC (and which, being larger than the L1 ways,
 // also displace the L1 copies).
-func RunEvictReload(mode cache.SecMode, keyBits int, seed uint64) (RSAResult, error) {
-	m := NewMachine(mode, 1)
+func RunEvictReload(cfg machine.Config, keyBits int, seed uint64) (RSAResult, error) {
+	m := NewMachine(cfg)
 	lib := rsa.DefaultLibrary(sharedBase)
 	key := rsa.GenerateKey(keyBits, seed)
 	const base, modulus = 0x10001, 0xFFFFFFFB
-
-	asV, err := m.MapSharedAt("gnupg", lib.Size())
-	if err != nil {
-		return RSAResult{}, err
-	}
-	asA, err := m.MapSharedAt("gnupg", lib.Size())
+	asV, asA, err := mapRSALibrary(m, "gnupg", lib)
 	if err != nil {
 		return RSAResult{}, err
 	}
 
-	targets := []uint64{lib.SquareAddr(), lib.MultiplyAddr(), lib.ReduceAddr()}
+	targets := rsaTargets(lib)
 	llc := m.K.Hierarchy().LLC()
 	evict := make([][]uint64, len(targets))
 	evBase := uint64(0x6000_0000)
@@ -255,62 +259,27 @@ func RunEvictReload(mode cache.SecMode, keyBits int, seed uint64) (RSAResult, er
 	vic := rsa.NewVictim(lib, key, base, modulus)
 	prober := NewProber(m, targets, keyBits+1)
 	prober.EvictSets = evict
-
 	if _, err := m.K.Spawn("gpg", vic, asV, 0); err != nil {
 		return RSAResult{}, err
 	}
 	if _, err := m.K.Spawn("spy", prober, asA, 0); err != nil {
 		return RSAResult{}, err
 	}
-	m.K.Run(4_000_000_000)
-	if !m.K.AllExited() {
-		return RSAResult{}, fmt.Errorf("attack: evict+reload did not finish")
-	}
-
-	res := RSAResult{Key: key, Hits: prober.Hits(), Latencies: prober.Lat}
-	res.VictimCorrect = vic.Result == rsa.ModExp(base, key, modulus)
-	recovered := make(rsa.Key, 0, keyBits)
-	for _, row := range prober.Obs {
-		if len(recovered) == keyBits {
-			break
-		}
-		if row[0] {
-			res.SquareHits++
-		}
-		if row[1] {
-			res.MultiplyHits++
-		}
-		recovered = append(recovered, row[1])
-	}
-	res.Recovered = recovered
-	res.Accuracy = key.Match(recovered)
-	return res, nil
-}
-
-// RunRSALimited is RunRSA with the limited-pointer s-bit tracker (§VI-C
-// area optimization) configured with maxSharers slots per line, used to
-// verify the optimization preserves the defense.
-func RunRSALimited(mode cache.SecMode, maxSharers, keyBits int, seed uint64) (RSAResult, error) {
-	m := NewMachineConfig(machine.Config{Mode: mode, MaxSharers: maxSharers})
-	return runRSAOn(m, keyBits, seed)
+	return finishRSA(m, "evict+reload", 4_000_000_000, key, prober,
+		func() bool { return vic.Result == rsa.ModExp(base, key, modulus) })
 }
 
 // RunRSABig mounts the flush+reload attack against the multi-precision
 // victim (rsa.BigVictim): real MPI square/multiply/reduce with
 // operand-dependent work, the closest model of the GnuPG target. The
 // recovery logic is identical — only the victim's realism differs.
-func RunRSABig(mode cache.SecMode, keyBits int, seed uint64) (RSAResult, error) {
-	m := NewMachine(mode, 1)
+func RunRSABig(cfg machine.Config, keyBits int, seed uint64) (RSAResult, error) {
+	m := NewMachine(cfg)
 	lib := rsa.DefaultLibrary(sharedBase)
 	key := rsa.GenerateKey(keyBits, seed)
 	base := rsa.NewIntFromLimbs([]uint32{0x12345678, 0x9ABCDEF0, 0x13579BDF})
 	modulus := rsa.NewIntFromLimbs([]uint32{0xFFFFFFC5, 0xFFFFFFFF, 0xFFFFFFFF, 0x1})
-
-	asV, err := m.MapSharedAt("gnupg-big", lib.Size())
-	if err != nil {
-		return RSAResult{}, err
-	}
-	asA, err := m.MapSharedAt("gnupg-big", lib.Size())
+	asV, asA, err := mapRSALibrary(m, "gnupg-big", lib)
 	if err != nil {
 		return RSAResult{}, err
 	}
@@ -321,35 +290,13 @@ func RunRSABig(mode cache.SecMode, keyBits int, seed uint64) (RSAResult, error) 
 	}
 
 	vic := rsa.NewBigVictim(lib, key, base, modulus, operandBase)
-	prober := NewProber(m, []uint64{lib.SquareAddr(), lib.MultiplyAddr(), lib.ReduceAddr()}, keyBits+1)
-
+	prober := NewProber(m, rsaTargets(lib), keyBits+1)
 	if _, err := m.K.Spawn("gpg-big", vic, asV, 0); err != nil {
 		return RSAResult{}, err
 	}
 	if _, err := m.K.Spawn("spy", prober, asA, 0); err != nil {
 		return RSAResult{}, err
 	}
-	m.K.Run(8_000_000_000)
-	if !m.K.AllExited() {
-		return RSAResult{}, fmt.Errorf("attack: big-number RSA attack did not finish")
-	}
-
-	res := RSAResult{Key: key, Hits: prober.Hits(), Latencies: prober.Lat}
-	res.VictimCorrect = vic.Result != nil && vic.Result.Cmp(rsa.BigModExp(base, key, modulus)) == 0
-	recovered := make(rsa.Key, 0, keyBits)
-	for _, row := range prober.Obs {
-		if len(recovered) == keyBits {
-			break
-		}
-		if row[0] {
-			res.SquareHits++
-		}
-		if row[1] {
-			res.MultiplyHits++
-		}
-		recovered = append(recovered, row[1])
-	}
-	res.Recovered = recovered
-	res.Accuracy = key.Match(recovered)
-	return res, nil
+	return finishRSA(m, "big-number RSA attack", 8_000_000_000, key, prober,
+		func() bool { return vic.Result != nil && vic.Result.Cmp(rsa.BigModExp(base, key, modulus)) == 0 })
 }

@@ -25,7 +25,7 @@ import (
 // distinction visible. Cores is forced to 2.
 func RunLLCOccupancy(cfg machine.Config, nbits int, seed uint64) (SecretResult, error) {
 	cfg.Cores = 2
-	m := NewMachineConfig(cfg)
+	m := NewMachine(cfg)
 	hcfg := m.K.Hierarchy().Config()
 	llcLines := uint64(hcfg.LLCSize) / cache.LineSize
 

@@ -102,19 +102,10 @@ func (a *flushFlushAttacker) Step(env sim.Env) bool {
 
 // RunFlushFlush mounts the flush+flush attack on a shared line. The attack
 // does not rely on reuse hits, so TimeCache alone does not stop it; the
-// constantTimeFlush mitigation (a fixed-latency clflush with dummy
+// cfg.ConstantTimeFlush mitigation (a fixed-latency clflush with dummy
 // writeback, as the paper suggests) does.
-func RunFlushFlush(mode cache.SecMode, constantTimeFlush bool, nbits int, seed uint64) (SecretResult, error) {
-	return runFlushFlushOn(NewMachineConfig(machine.Config{Mode: mode, ConstantTimeFlush: constantTimeFlush}), nbits, seed)
-}
-
-// RunFlushFlushConfig mounts flush+flush on a machine assembled from cfg
-// (the defense×attack matrix selects the defense through cfg.Defense).
-func RunFlushFlushConfig(cfg machine.Config, nbits int, seed uint64) (SecretResult, error) {
-	return runFlushFlushOn(NewMachineConfig(cfg), nbits, seed)
-}
-
-func runFlushFlushOn(m *Machine, nbits int, seed uint64) (SecretResult, error) {
+func RunFlushFlush(cfg machine.Config, nbits int, seed uint64) (SecretResult, error) {
+	m := NewMachine(cfg)
 	asA, err := m.MapSharedAt("ff", cache.LineSize)
 	if err != nil {
 		return SecretResult{}, err
@@ -185,20 +176,11 @@ func (a *primeProbeAttacker) Step(env sim.Env) bool {
 // shared memory: the victim's secret-dependent access to its own line in
 // the monitored set evicts one of the attacker's primed lines. TimeCache
 // does not (and per the paper, need not) stop this contention channel;
-// CEASER-lite index randomization (randomizeIndex) does, because the
+// CEASER-lite index randomization (cfg.RandomizedIndex) does, because the
 // attacker's architecturally-constructed eviction set no longer maps to a
 // single set.
-func RunPrimeProbe(mode cache.SecMode, randomizeIndex bool, nbits int, seed uint64) (SecretResult, error) {
-	mcfg := machine.Config{Mode: mode}
-	if randomizeIndex {
-		mcfg.RandomizedIndex = 0xC0FFEE
-	}
-	return RunPrimeProbeConfig(mcfg, nbits, seed)
-}
-
-// RunPrimeProbeConfig mounts prime+probe on a machine assembled from cfg.
-func RunPrimeProbeConfig(cfg machine.Config, nbits int, seed uint64) (SecretResult, error) {
-	m := NewMachineConfig(cfg)
+func RunPrimeProbe(cfg machine.Config, nbits int, seed uint64) (SecretResult, error) {
+	m := NewMachine(cfg)
 	llc := m.K.Hierarchy().LLC()
 
 	asA := kernel.NewAddressSpace(m.K.Physical())
@@ -292,20 +274,16 @@ func (a *lruAttacker) Step(env sim.Env) bool {
 // RunLRU mounts the cache-LRU-state attack of §VII-A on the L1D. The
 // channel is the replacement state, not a reuse hit, so TimeCache does not
 // stop it (the victim's delayed first access still refreshes recency);
-// switching the replacement policy to random destroys the channel — the
-// paper points to randomizing caches for this class.
-func RunLRU(mode cache.SecMode, policy replacement.Kind, nbits int, seed uint64) (SecretResult, error) {
-	return RunLRUConfig(machine.Config{Mode: mode}, policy, nbits, seed)
-}
-
-// RunLRUConfig mounts the LRU attack on a machine assembled from cfg with
-// the given replacement policy.
-func RunLRUConfig(cfg machine.Config, policy replacement.Kind, nbits int, seed uint64) (SecretResult, error) {
-	if _, err := replacement.New(policy, 1, 2, 0); err != nil {
+// switching cfg.Policy to random destroys the channel — the paper points
+// to randomizing caches for this class. The policy is validated before
+// assembly, so an unknown one is an error rather than a panic; the random
+// policy is seeded from seed.
+func RunLRU(cfg machine.Config, nbits int, seed uint64) (SecretResult, error) {
+	if _, err := replacement.New(cfg.Policy, 1, 2, 0); err != nil {
 		return SecretResult{}, err
 	}
-	cfg.Policy, cfg.PolicySeed = policy, seed+1
-	m := NewMachineConfig(cfg)
+	cfg.PolicySeed = seed + 1
+	m := NewMachine(cfg)
 	l1d := m.K.Hierarchy().L1D(0)
 
 	asA, err := m.MapSharedAt("lru", cache.LineSize)
@@ -431,16 +409,11 @@ func (v *coherenceVictim) Step(env sim.Env) bool {
 // flushes a shared line and detects, by load latency, whether the victim's
 // core holds a dirty copy (a remote forward is faster than DRAM). With
 // TimeCache the attacker's load is a first access that waits for the DRAM
-// response either way, so the channel disappears (paper §VII-B).
-func RunCoherence(mode cache.SecMode, nbits int, seed uint64) (SecretResult, error) {
-	return RunCoherenceConfig(machine.Config{Mode: mode}, nbits, seed)
-}
-
-// RunCoherenceConfig mounts invalidate+transfer on a machine assembled from
-// cfg; the attack needs two cores, so Cores is forced to 2.
-func RunCoherenceConfig(cfg machine.Config, nbits int, seed uint64) (SecretResult, error) {
+// response either way, so the channel disappears (paper §VII-B). The
+// attack needs two cores, so cfg.Cores is forced to 2.
+func RunCoherence(cfg machine.Config, nbits int, seed uint64) (SecretResult, error) {
 	cfg.Cores = 2
-	m := NewMachineConfig(cfg)
+	m := NewMachine(cfg)
 	asA, err := m.MapSharedAt("coh", cache.LineSize)
 	if err != nil {
 		return SecretResult{}, err
@@ -533,10 +506,11 @@ func (a *evictTimeAttacker) Step(env sim.Env) bool {
 
 // RunEvictTime measures the victim's execution time while an interleaved
 // attacker either flushes the victim's shared line every slice or idles.
-func RunEvictTime(mode cache.SecMode, iters int) (EvictTimeResult, error) {
+// Each of the two runs gets a fresh machine assembled from cfg.
+func RunEvictTime(cfg machine.Config, iters int) (EvictTimeResult, error) {
 	var res EvictTimeResult
 	for _, flush := range []bool{true, false} {
-		m := NewMachine(mode, 1)
+		m := NewMachine(cfg)
 		asV, err := m.MapSharedAt("et", cache.LineSize)
 		if err != nil {
 			return res, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"timecache/internal/cache"
+	"timecache/internal/machine"
 	"timecache/internal/sim"
 )
 
@@ -109,11 +110,11 @@ func (a *spectreAttacker) Step(env sim.Env) bool {
 // Spectre-style transmission (paper §VIII-B2, §IX): the attacker recovers
 // the victim's secret bytes from a shared probe array on the baseline and
 // learns nothing under TimeCache.
-func RunSpectre(mode cache.SecMode, secret []byte) (SpectreResult, error) {
+func RunSpectre(cfg machine.Config, secret []byte) (SpectreResult, error) {
 	if len(secret) == 0 {
 		return SpectreResult{}, fmt.Errorf("attack: empty secret")
 	}
-	m := NewMachine(mode, 1)
+	m := NewMachine(cfg)
 	size := uint64(256 * cache.LineSize)
 	asV, err := m.MapSharedAt("spectre_probe", size)
 	if err != nil {

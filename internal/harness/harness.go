@@ -42,9 +42,12 @@ type Options struct {
 	// brute-force probe of every L1 on every coherence event (debug mode;
 	// slows runs by O(cores) per access).
 	CoherenceCheck bool
-	// Telemetry, when non-nil, attaches a telemetry collector to every run;
-	// configured output paths are suffixed with the workload label and mode
-	// so one config fans out over a whole sweep.
+	// Telemetry, when non-nil, attaches a telemetry collector to every
+	// simulated machine run; configured output paths are suffixed with
+	// "<experiment>_<leg>_<run>" (e.g. "llc-sweep_3_2Xlbm-timecache") so one
+	// config fans out over a whole job, concurrent legs included, without
+	// two runs writing the same file. The §VI-A and matrix attack cells
+	// assemble their own machines and are not observed.
 	Telemetry *telemetry.Config
 	// Jobs is the number of legs RunJob runs concurrently. Each leg builds
 	// or resets its own machines, so results are bit-identical to sequential
@@ -77,6 +80,11 @@ type Options struct {
 	// context switches, s-bit delayed loads). Adds are atomic, so one
 	// account serves a parallel sweep. Nil costs the run one comparison.
 	Account *ResourceAccount
+
+	// exp and leg address the job leg being run; RunJobLeg sets them so
+	// telemetry outputs are named per leg.
+	exp string
+	leg int
 }
 
 // pool builds the runner options for this configuration.
@@ -101,16 +109,21 @@ func (o Options) newPool() *machine.Pool {
 	return machine.NewPool()
 }
 
-// attachTelemetry attaches a collector for a run labeled label/mode, or
-// returns nil when telemetry is off.
-func (o Options) attachTelemetry(k *kernel.Kernel, label string, mode cache.SecMode) *telemetry.Collector {
+// attachTelemetry attaches a collector for the machine run labeled label
+// (e.g. "2Xlbm/timecache") of the current job leg, or returns nil when
+// telemetry is off.
+func (o Options) attachTelemetry(k *kernel.Kernel, label string) *telemetry.Collector {
 	if o.Telemetry == nil {
 		return nil
 	}
-	cfg := o.Telemetry.WithSuffix(sanitizeLabel(label) + "_" + mode.String())
-	col := telemetry.New(cfg).Attach(k)
-	col.SetMeta("workload", label)
-	col.SetMeta("mode", mode.String())
+	suffix := sanitizeLabel(label)
+	if o.exp != "" {
+		suffix = fmt.Sprintf("%s_%d_%s", o.exp, o.leg, suffix)
+	}
+	col := telemetry.New(o.Telemetry.WithSuffix(suffix)).Attach(k)
+	col.SetMeta("experiment", o.exp)
+	col.SetMeta("leg", o.leg)
+	col.SetMeta("run", label)
 	return col
 }
 
@@ -292,10 +305,8 @@ func frameBudget(frames int) int {
 // leg describes one machine run: how to build its machine, how to populate
 // it, and how to label its outputs.
 type leg struct {
-	label string         // span name and error-message subject, e.g. "2Xlbm/timecache"
+	label string         // span name, telemetry suffix and error-message subject, e.g. "2Xlbm/timecache"
 	mcfg  machine.Config // machine shape (includes mode and overrides)
-	// attach, when non-nil, attaches telemetry to the kernel.
-	attach func(*kernel.Kernel) *telemetry.Collector
 	// spawn installs the leg's processes with their warmup set and OnWarm
 	// wired to onWarm, returning how many processes must warm before the
 	// measurement window starts.
@@ -323,10 +334,7 @@ func runLeg(pool *machine.Pool, opts Options, l leg) (measurement, error) {
 		return measurement{}, err
 	}
 	targets = n
-	var col *telemetry.Collector
-	if l.attach != nil {
-		col = l.attach(k)
-	}
+	col := opts.attachTelemetry(k, l.label)
 	k.RunCtx(opts.ctx(), 1<<62)
 	if err := opts.ctx().Err(); err != nil {
 		return measurement{}, err
@@ -348,8 +356,7 @@ func runLeg(pool *machine.Pool, opts Options, l leg) (measurement, error) {
 // under the given mode. labelSuffix names the leg's span/error label
 // ("<pair>/<suffix>"); it is the mode name for the paired runs and the
 // defense name for ablation legs.
-func specLeg(pair workload.Pair, mcfg machine.Config, labelSuffix string, opts Options,
-	attach func(*kernel.Kernel) *telemetry.Collector) (leg, error) {
+func specLeg(pair workload.Pair, mcfg machine.Config, labelSuffix string, opts Options) (leg, error) {
 	pa, err := workload.Spec(pair.A)
 	if err != nil {
 		return leg{}, err
@@ -360,9 +367,8 @@ func specLeg(pair workload.Pair, mcfg machine.Config, labelSuffix string, opts O
 	}
 	total := opts.WarmupInstrs + opts.InstrsPerProc
 	return leg{
-		label:  pair.Label + "/" + labelSuffix,
-		mcfg:   mcfg,
-		attach: attach,
+		label: pair.Label + "/" + labelSuffix,
+		mcfg:  mcfg,
 		spawn: func(k *kernel.Kernel, onWarm func()) (int, error) {
 			_, procA, err := workload.Spawn(k, pa, workload.SpawnOptions{Instrs: total, Seed: 1001})
 			if err != nil {
@@ -400,8 +406,7 @@ func runSpecPairOnce(pool *machine.Pool, pair workload.Pair, mode cache.SecMode,
 	if err != nil {
 		return measurement{}, err
 	}
-	l, err := specLeg(pair, machineConfig(mode, 1, opts, frames), mode.String(), opts,
-		func(k *kernel.Kernel) *telemetry.Collector { return opts.attachTelemetry(k, pair.Label, mode) })
+	l, err := specLeg(pair, machineConfig(mode, 1, opts, frames), mode.String(), opts)
 	if err != nil {
 		return measurement{}, err
 	}
@@ -476,9 +481,6 @@ func runParsecOnce(pool *machine.Pool, name string, mode cache.SecMode, opts Opt
 	l := leg{
 		label: name + "/" + mode.String(),
 		mcfg:  mcfg,
-		attach: func(k *kernel.Kernel) *telemetry.Collector {
-			return opts.attachTelemetry(k, name, mode)
-		},
 		spawn: func(k *kernel.Kernel, onWarm func()) (int, error) {
 			as, err := workload.BuildSharedAS(k, prof)
 			if err != nil {
@@ -523,7 +525,7 @@ func runDefensePair(pool *machine.Pool, pair workload.Pair, kind, labelSuffix st
 	}
 	mcfg := machineConfig(cache.SecOff, 1, opts, frames)
 	mcfg.Defense = kind
-	l, err := specLeg(pair, mcfg, labelSuffix, opts, nil)
+	l, err := specLeg(pair, mcfg, labelSuffix, opts)
 	if err != nil {
 		return 0, err
 	}

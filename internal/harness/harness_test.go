@@ -1,10 +1,15 @@
 package harness
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"testing"
 
+	"timecache/internal/defense"
 	"timecache/internal/machine"
 	"timecache/internal/stats"
 	"timecache/internal/telemetry"
@@ -288,5 +293,76 @@ func TestTelemetryKeepsResults(t *testing.T) {
 	}
 	if gotLeg.CSV() != plainLeg.CSV() {
 		t.Fatalf("telemetry leg diverged:\n got %s\nwant %s", gotLeg.CSV(), plainLeg.CSV())
+	}
+}
+
+// readManifests decodes every manifest_*.json file in dir.
+func readManifests(t *testing.T, dir string) []telemetry.Manifest {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "manifest_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]telemetry.Manifest, 0, len(paths))
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m telemetry.Manifest
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// TestTelemetryOneFilePerRun: every simulated machine run of a job writes
+// its own telemetry files. Concurrent legs that run the same pair under the
+// same mode at different LLC sizes must not overwrite each other, and the
+// ablation's per-defense runs are observed like every other leg.
+func TestTelemetryOneFilePerRun(t *testing.T) {
+	const pair = "2Xnamd"
+	sweepDir := t.TempDir()
+	opts := smallOpts()
+	opts.Jobs = 2
+	opts.Telemetry = &telemetry.Config{ManifestJSON: filepath.Join(sweepDir, "manifest.json")}
+	sizes := []int{1 << 20, 2 << 20}
+	if _, err := RunJob(Job{Experiment: ExpLLCSweep, LLCSizes: sizes, Pairs: []string{pair}}, opts); err != nil {
+		t.Fatal(err)
+	}
+	ms := readManifests(t, sweepDir)
+	if len(ms) != 2*len(sizes) {
+		t.Fatalf("llc-sweep wrote %d manifests, want %d (2 runs per size)", len(ms), 2*len(sizes))
+	}
+	perSize := map[int]int{}
+	for _, m := range ms {
+		perSize[m.Machine.LLCSizeBytes]++
+	}
+	for _, size := range sizes {
+		if perSize[size] != 2 {
+			t.Errorf("llc-sweep: %d manifests at LLC %d bytes, want 2 (got %v)", perSize[size], size, perSize)
+		}
+	}
+
+	ablDir := t.TempDir()
+	opts = smallOpts()
+	opts.Telemetry = &telemetry.Config{ManifestJSON: filepath.Join(ablDir, "manifest.json")}
+	if _, err := RunJob(Job{Experiment: ExpAblation, Pairs: []string{pair}}, opts); err != nil {
+		t.Fatal(err)
+	}
+	ms = readManifests(t, ablDir)
+	runs := map[string]bool{}
+	for _, m := range ms {
+		runs[fmt.Sprint(m.Meta["run"])] = true
+	}
+	for _, kind := range defense.Kinds() {
+		if want := pair + "/" + ablationName(kind); !runs[want] {
+			t.Errorf("ablation: no manifest for %s (have %v)", want, runs)
+		}
+	}
+	if len(ms) != len(defense.Kinds()) {
+		t.Errorf("ablation wrote %d manifests, want one per defense kind (%d)", len(ms), len(defense.Kinds()))
 	}
 }

@@ -20,8 +20,7 @@ import (
 	"timecache/internal/workload"
 )
 
-// matrixAttack ties an attack-corpus name to its Config-parameterized
-// runner, reduced to the attacker's bit-recovery accuracy. Declaration
+// matrixAttack ties an attack-corpus name to its attack entry point, reduced to the attacker's bit-recovery accuracy. Declaration
 // order is the canonical column order (the matrix job's default attack
 // set).
 type matrixAttack struct {
@@ -31,27 +30,28 @@ type matrixAttack struct {
 
 var matrixAttacks = []matrixAttack{
 	{"flush-reload", func(cfg machine.Config, bits int, seed uint64) (float64, error) {
-		r, err := attack.RunRSAConfig(cfg, bits, seed)
+		r, err := attack.RunRSA(cfg, bits, seed)
 		return r.Accuracy, err
 	}},
 	{"flush-flush", func(cfg machine.Config, bits int, seed uint64) (float64, error) {
-		r, err := attack.RunFlushFlushConfig(cfg, bits, seed)
+		r, err := attack.RunFlushFlush(cfg, bits, seed)
 		return r.Accuracy, err
 	}},
 	{"prime-probe", func(cfg machine.Config, bits int, seed uint64) (float64, error) {
-		r, err := attack.RunPrimeProbeConfig(cfg, bits, seed)
+		r, err := attack.RunPrimeProbe(cfg, bits, seed)
 		return r.Accuracy, err
 	}},
 	{"lru", func(cfg machine.Config, bits int, seed uint64) (float64, error) {
-		r, err := attack.RunLRUConfig(cfg, replacement.LRU, bits, seed)
+		cfg.Policy = replacement.LRU
+		r, err := attack.RunLRU(cfg, bits, seed)
 		return r.Accuracy, err
 	}},
 	{"coherence", func(cfg machine.Config, bits int, seed uint64) (float64, error) {
-		r, err := attack.RunCoherenceConfig(cfg, bits, seed)
+		r, err := attack.RunCoherence(cfg, bits, seed)
 		return r.Accuracy, err
 	}},
 	{"smt", func(cfg machine.Config, bits int, seed uint64) (float64, error) {
-		r, err := attack.RunSMTConfig(cfg, bits, seed)
+		r, err := attack.RunSMT(cfg, bits, seed)
 		return r.Accuracy, err
 	}},
 	{"llc-occupancy", func(cfg machine.Config, bits int, seed uint64) (float64, error) {

@@ -35,7 +35,6 @@ import (
 	"strconv"
 
 	"timecache/internal/attack"
-	"timecache/internal/cache"
 	"timecache/internal/defense"
 	"timecache/internal/machine"
 	"timecache/internal/stats"
@@ -83,8 +82,8 @@ var experiments = map[string]experiment{
 	},
 	ExpSecurity: {
 		legHeader: []string{"experiment", "mode", "result"},
-		// The microbenchmark and the RSA attack, each under every mode.
-		legs: func(Job) int { return 2 * len(securityModes) },
+		// The microbenchmark and the RSA attack, each under every defense.
+		legs: func(Job) int { return 2 * len(securityKinds) },
 		run:  runSecurityLeg,
 	},
 	ExpLLCSweep: {
@@ -134,7 +133,9 @@ func RunJobLeg(j Job, leg int, opts Options) (*stats.Table, error) {
 	if err := opts.ctx().Err(); err != nil {
 		return nil, err
 	}
-	row, err := e.run(j, leg, opts.newPool(), opts.withDefaults())
+	o := opts.withDefaults()
+	o.exp, o.leg = j.Experiment, leg
+	row, err := e.run(j, leg, opts.newPool(), o)
 	if err != nil {
 		return nil, err
 	}
@@ -221,29 +222,33 @@ func runBookkeepingLeg(j Job, i int, pool *machine.Pool, opts Options) ([]any, e
 	return []any{opts.SliceCycles, r.BookkeepingPct, stats.OverheadPct(r.Normalized)}, err
 }
 
-// securityModes are the modes each §VI-A attack runs under, in row order.
-var securityModes = []cache.SecMode{cache.SecOff, cache.SecTimeCache}
+// securityKinds are the defenses each §VI-A attack runs under, in row
+// order; their rows and spans are named by ablationName.
+var securityKinds = []string{defense.None, defense.TimeCache}
 
-// runSecurityLeg runs one §VI-A attack under one mode: the microbenchmark
-// under each mode, then the RSA flush+reload attack under each mode.
+// runSecurityLeg runs one §VI-A attack under one defense: the
+// microbenchmark under each defense, then the RSA flush+reload attack under
+// each defense.
 func runSecurityLeg(j Job, i int, _ *machine.Pool, opts Options) ([]any, error) {
-	mode := securityModes[i%len(securityModes)]
+	kind := securityKinds[i%len(securityKinds)]
+	name := ablationName(kind)
+	cfg := machine.Config{Defense: kind}
 	start := opts.legStart()
-	if i < len(securityModes) {
-		mb, err := attack.RunMicrobenchmark(mode)
+	if i < len(securityKinds) {
+		mb, err := attack.RunMicrobenchmark(cfg)
 		if err != nil {
 			return nil, err
 		}
-		opts.finishAttackLeg("microbenchmark/"+mode.String(), start)
-		return []any{"microbenchmark (§VI-A1)", mode.String(),
+		opts.finishAttackLeg("microbenchmark/"+name, start)
+		return []any{"microbenchmark (§VI-A1)", name,
 			fmt.Sprintf("%d/%d lines hit", mb.Hits, mb.Lines)}, nil
 	}
-	rsa, err := attack.RunRSA(mode, j.KeyBits, j.Seed)
+	rsa, err := attack.RunRSA(cfg, j.KeyBits, j.Seed)
 	if err != nil {
 		return nil, err
 	}
-	opts.finishAttackLeg("rsa/"+mode.String(), start)
-	return []any{"RSA flush+reload (§VI-A2)", mode.String(),
+	opts.finishAttackLeg("rsa/"+name, start)
+	return []any{"RSA flush+reload (§VI-A2)", name,
 		fmt.Sprintf("%.0f%% of key bits, %d hits, victim correct=%v",
 			rsa.Accuracy*100, rsa.Hits, rsa.VictimCorrect)}, nil
 }

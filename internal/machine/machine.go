@@ -39,7 +39,11 @@ const DefaultPhysFrames = 32768
 // a Pool: two configs are the same machine shape iff they are ==.
 type Config struct {
 	// Mode selects the cache security mode (cache.SecOff, SecTimeCache,
-	// SecFTM) when Defense is empty.
+	// SecFTM) when Defense is empty. New callers select the defense through
+	// Defense: the only non-test writers of Mode are harness.machineConfig
+	// (which spells it out beside Defense so pooled machine shapes keep
+	// their keys) and the perfbench benchmark, which mirrors those keys.
+	// The field goes at the next change to the benchmark.
 	Mode cache.SecMode
 	// Defense, when non-empty, selects the defense by registry kind
 	// (internal/defense: "none", "timecache", "ftm", "dawg-lite",

@@ -27,7 +27,7 @@ import (
 	"fmt"
 
 	"timecache/internal/asm"
-	"timecache/internal/cache"
+	"timecache/internal/defense"
 	"timecache/internal/kernel"
 	"timecache/internal/machine"
 	"timecache/internal/telemetry"
@@ -63,14 +63,28 @@ func (m Mode) String() string {
 	}
 }
 
-func (m Mode) secMode() cache.SecMode {
+// ParseMode returns the Mode whose String is name: "baseline",
+// "timecache" or "ftm". Any other name is an error.
+func ParseMode(name string) (Mode, error) {
+	for _, m := range []Mode{Baseline, TimeCache, FTM} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("timecache: unknown mode %q (want baseline, timecache or ftm)", name)
+}
+
+// kind is the Mode's defense registry kind (internal/defense). It is the one
+// place the public Mode meets the machine: every System and every attack
+// selects its defense through this name.
+func (m Mode) kind() string {
 	switch m {
 	case TimeCache:
-		return cache.SecTimeCache
+		return defense.TimeCache
 	case FTM:
-		return cache.SecFTM
+		return defense.FTM
 	default:
-		return cache.SecOff
+		return defense.None
 	}
 }
 
@@ -121,10 +135,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// machineConfig maps the public Config onto the machine assembly config.
+// machineConfig maps the public Config onto the machine assembly config;
+// the Mode becomes a defense registry kind.
 func (c Config) machineConfig() machine.Config {
 	return machine.Config{
-		Mode:              c.Mode.secMode(),
+		Defense:           c.Mode.kind(),
 		Cores:             c.Cores,
 		L1Size:            c.L1Size,
 		LLCSize:           c.LLCSize,

@@ -1,10 +1,13 @@
 package timecache
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"timecache/internal/cache"
 	"timecache/internal/harness"
+	"timecache/internal/machine"
 	"timecache/internal/workload"
 )
 
@@ -158,6 +161,99 @@ func TestModeString(t *testing.T) {
 	}
 	if !strings.HasPrefix(Mode(9).String(), "Mode(") {
 		t.Fatal("unknown mode formatting")
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{Baseline, TimeCache, FTM} {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"", "bogus", "TimeCache", "none", "Mode(9)"} {
+		if m, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) = %v, want an error", name, m)
+		}
+	}
+}
+
+// TestModeMachineConfig pins the one place the public Mode meets the
+// machine: machineConfig selects the defense by registry kind and never
+// sets the structural Mode, and a System built that way runs a workload
+// counter for counter like a machine built from the structural Mode of the
+// same name. The workload shares text across two cores, so both defenses
+// record first accesses and a wrong mapping shows in the counters.
+func TestModeMachineConfig(t *testing.T) {
+	const loop = `
+		movi r1, 0
+		movi r2, 5000
+	loop:
+		addi r1, r1, 1
+		blt  r1, r2, loop
+		halt
+	`
+	for _, tc := range []struct {
+		mode Mode
+		kind string
+		sec  cache.SecMode
+	}{
+		{Baseline, "none", cache.SecOff},
+		{TimeCache, "timecache", cache.SecTimeCache},
+		{FTM, "ftm", cache.SecFTM},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			cfg := Config{Mode: tc.mode, Cores: 2}.withDefaults()
+			mcfg := cfg.machineConfig()
+			if mcfg.Defense != tc.kind || mcfg.Mode != 0 {
+				t.Fatalf("machineConfig: Defense %q, Mode %v; want Defense %q and a zero Mode", mcfg.Defense, mcfg.Mode, tc.kind)
+			}
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy := mcfg
+			legacy.Defense, legacy.Mode = "", tc.sec
+			ref := &System{cfg: cfg, k: machine.New(legacy).Kernel()}
+			run := func(s *System) (Stats, []ProcessStats) {
+				var procs []*Process
+				for i, name := range []string{"lbm", "namd"} {
+					p, err := s.SpawnSpec(name, 0, 20_000, uint64(i+1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					procs = append(procs, p)
+				}
+				for core := 0; core < 2; core++ {
+					p, err := s.LoadAsm(loop, LoadOptions{Core: core, ShareKey: "loop"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					procs = append(procs, p)
+				}
+				s.Run(1 << 62)
+				if !s.AllExited() {
+					t.Fatal("workload did not finish")
+				}
+				var ps []ProcessStats
+				for _, p := range procs {
+					ps = append(ps, p.Stats())
+				}
+				return s.Stats(), ps
+			}
+			got, gotProcs := run(sys)
+			want, wantProcs := run(ref)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotProcs, wantProcs) {
+				t.Errorf("registry kind diverged from the structural mode:\n got %+v %+v\nwant %+v %+v", got, gotProcs, want, wantProcs)
+			}
+			var fa uint64
+			for _, c := range got.Caches {
+				fa += c.FirstAccess
+			}
+			if (fa == 0) != (tc.mode == Baseline) {
+				t.Errorf("%d first accesses under %v: the workload does not tell the defenses apart", fa, tc.mode)
+			}
+		})
 	}
 }
 

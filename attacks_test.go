@@ -3,61 +3,72 @@ package timecache
 import (
 	"testing"
 
+	"timecache/internal/attack"
+	"timecache/internal/defense"
 	"timecache/internal/harness"
+	"timecache/internal/kernel"
+	"timecache/internal/machine"
+	"timecache/internal/replacement"
 )
 
-// TestAttackWrapperSweep exercises every public attack entry point at small
-// sizes; the detailed behavioral assertions live in internal/attack — here
-// we check the wrappers plumb configurations and results faithfully.
+// TestAttackWrapperSweep exercises every attack entry point the commands
+// and examples call, at small sizes; the detailed behavioral assertions live in
+// internal/attack — here we check that each one takes its mitigation knob
+// from the machine.Config and reports results faithfully.
 func TestAttackWrapperSweep(t *testing.T) {
 	const bits, seed = 16, 3
+	none := machine.Config{Defense: defense.None}
+	tc := machine.Config{Defense: defense.TimeCache}
 
-	if r, err := RunEvictReloadAttack(TimeCache, bits, seed); err != nil || r.Hits != 0 {
+	if r, err := attack.RunEvictReload(tc, bits, seed); err != nil || r.Hits != 0 {
 		t.Fatalf("evict+reload: %+v err=%v", r, err)
 	}
-	if r, err := RunFlushFlushAttack(TimeCache, true, bits, seed); err != nil || r.Accuracy > 0.95 {
+	ctFlush := tc
+	ctFlush.ConstantTimeFlush = true
+	if r, err := attack.RunFlushFlush(ctFlush, bits, seed); err != nil || r.Accuracy > 0.95 {
 		t.Fatalf("flush+flush(ct): %+v err=%v", r, err)
 	}
-	if r, err := RunPrimeProbeAttack(Baseline, false, bits, seed); err != nil || r.Accuracy < 0.8 {
+	if r, err := attack.RunPrimeProbe(none, bits, seed); err != nil || r.Accuracy < 0.8 {
 		t.Fatalf("prime+probe: %+v err=%v", r, err)
 	}
-	if r, err := RunLRUAttack(Baseline, "lru", bits, seed); err != nil || r.Accuracy < 0.8 {
+	lru := none
+	lru.Policy = replacement.LRU
+	if r, err := attack.RunLRU(lru, bits, seed); err != nil || r.Accuracy < 0.8 {
 		t.Fatalf("lru: %+v err=%v", r, err)
 	}
-	if _, err := RunLRUAttack(Baseline, "bogus-policy", bits, seed); err == nil {
+	bogus := none
+	bogus.Policy = "bogus-policy"
+	if _, err := attack.RunLRU(bogus, bits, seed); err == nil {
 		t.Fatal("unknown replacement policy must error")
 	}
-	if r, err := RunCoherenceAttack(TimeCache, bits, seed); err != nil || r.Accuracy > 0.8 {
+	if r, err := attack.RunCoherence(tc, bits, seed); err != nil || r.Accuracy > 0.8 {
 		t.Fatalf("coherence: %+v err=%v", r, err)
 	}
-	if r, err := RunSMTAttack(TimeCache, bits, seed); err != nil || r.Accuracy > 0.8 {
+	if r, err := attack.RunSMT(tc, bits, seed); err != nil || r.Accuracy > 0.8 {
 		t.Fatalf("smt: %+v err=%v", r, err)
 	}
-	if r, err := RunEvictTimeAttack(Baseline, 500); err != nil || !r.Leaks {
+	if r, err := attack.RunEvictTime(none, 500); err != nil || !r.Leaks() {
 		t.Fatalf("evict+time: %+v err=%v", r, err)
 	}
-	if r, err := RunSpectreChannel(TimeCache, []byte("ab")); err != nil || r.Hits != 0 {
+	if r, err := attack.RunSpectre(tc, []byte("ab")); err != nil || r.Hits != 0 {
 		t.Fatalf("spectre: %+v err=%v", r, err)
 	}
-	if _, err := RunSpectreChannel(TimeCache, nil); err == nil {
+	if _, err := attack.RunSpectre(tc, nil); err == nil {
 		t.Fatal("empty spectre secret must error")
 	}
 	// Bit-string fields must be populated and consistent.
-	r, err := RunSMTAttack(Baseline, bits, seed)
+	r, err := attack.RunSMT(none, bits, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.SecretBits) != bits || len(r.RecoveredBits) != bits {
-		t.Fatalf("bit strings malformed: %q %q", r.SecretBits, r.RecoveredBits)
+	if len(r.Secret) != bits || len(r.Recovered) != bits {
+		t.Fatalf("bit strings malformed: %v %v", r.Secret, r.Recovered)
 	}
 }
 
-// TestLimitedPointerConfig exercises the MaxSharers public plumbing.
+// TestLimitedPointerConfig exercises the MaxSharers machine plumbing.
 func TestLimitedPointerConfig(t *testing.T) {
-	sys, err := New(Config{Mode: TimeCache, MaxSharers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := newKernel(machine.Config{Defense: defense.TimeCache, MaxSharers: 1})
 	src := `
 		movi r1, 0
 		movi r2, 20000
@@ -67,19 +78,15 @@ func TestLimitedPointerConfig(t *testing.T) {
 		halt
 	`
 	for i := 0; i < 2; i++ {
-		if _, err := sys.LoadAsm(src, LoadOptions{ShareKey: "lim"}); err != nil {
+		if _, _, err := loadAsm(k, src, kernel.LoadOptions{ShareKey: "lim"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sys.Run(1 << 62)
-	if !sys.AllExited() {
+	k.Run(1 << 62)
+	if !k.AllExited() {
 		t.Fatal("did not finish")
 	}
-	var fa uint64
-	for _, c := range sys.Stats().Caches {
-		fa += c.FirstAccess
-	}
-	if fa == 0 {
+	if firstAccesses(k) == 0 {
 		t.Fatal("limited tracker must still produce first accesses")
 	}
 }

@@ -12,7 +12,11 @@ import (
 	"fmt"
 	"testing"
 
+	"timecache/internal/attack"
+	"timecache/internal/defense"
 	"timecache/internal/harness"
+	"timecache/internal/machine"
+	"timecache/internal/replacement"
 	"timecache/internal/stats"
 )
 
@@ -79,11 +83,11 @@ func BenchmarkFig10LLCSensitivity(b *testing.B) {
 // 256-line shared array, baseline versus TimeCache (paper: all vs zero).
 func BenchmarkMicrobenchmarkAttack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := RunMicrobenchmark(Baseline)
+		base, err := attack.RunMicrobenchmark(machine.Config{Defense: defense.None})
 		if err != nil {
 			b.Fatal(err)
 		}
-		def, err := RunMicrobenchmark(TimeCache)
+		def, err := attack.RunMicrobenchmark(machine.Config{Defense: defense.TimeCache})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,11 +101,11 @@ func BenchmarkMicrobenchmarkAttack(b *testing.B) {
 // the defense).
 func BenchmarkRSAAttack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := RunRSAAttack(Baseline, 64, uint64(i)+1)
+		base, err := attack.RunRSA(machine.Config{Defense: defense.None}, 64, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		def, err := RunRSAAttack(TimeCache, 64, uint64(i)+1)
+		def, err := attack.RunRSA(machine.Config{Defense: defense.TimeCache}, 64, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,24 +134,17 @@ func BenchmarkSbitSaveRestore(b *testing.B) {
 // misses relative to the 32-bit configuration.
 func BenchmarkRolloverOverhead(b *testing.B) {
 	run := func(bits uint) uint64 {
-		sys, err := New(Config{Mode: TimeCache, TimestampBits: bits})
-		if err != nil {
-			b.Fatal(err)
-		}
+		k := newKernel(machine.Config{Defense: defense.TimeCache, TimestampBits: bits})
 		for i := 0; i < 2; i++ {
-			if _, err := sys.SpawnSpec("gobmk", 0, 60_000, uint64(1001+i*1001)); err != nil {
+			if _, err := spawnSpec(k, "gobmk", 0, 60_000, uint64(1001+i*1001)); err != nil {
 				b.Fatal(err)
 			}
 		}
-		sys.Run(1 << 62)
-		if !sys.AllExited() {
+		k.Run(1 << 62)
+		if !k.AllExited() {
 			b.Fatal("did not finish")
 		}
-		var fa uint64
-		for _, c := range sys.Stats().Caches {
-			fa += c.FirstAccess
-		}
-		return fa
+		return firstAccesses(k)
 	}
 	for i := 0; i < b.N; i++ {
 		wide := run(32)
@@ -163,24 +160,29 @@ func BenchmarkRolloverOverhead(b *testing.B) {
 // BenchmarkOtherAttacks reproduces §VII: accuracy of each non-reuse attack
 // under TimeCache, with and without its designated mitigation.
 func BenchmarkOtherAttacks(b *testing.B) {
+	tc := machine.Config{Defense: defense.TimeCache}
+	ctFlush := tc
+	ctFlush.ConstantTimeFlush = true
+	lruCfg := tc
+	lruCfg.Policy = replacement.LRU
 	for i := 0; i < b.N; i++ {
-		ff, err := RunFlushFlushAttack(TimeCache, false, 32, 5)
+		ff, err := attack.RunFlushFlush(tc, 32, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ffFixed, err := RunFlushFlushAttack(TimeCache, true, 32, 5)
+		ffFixed, err := attack.RunFlushFlush(ctFlush, 32, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		coh, err := RunCoherenceAttack(TimeCache, 32, 5)
+		coh, err := attack.RunCoherence(tc, 32, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lru, err := RunLRUAttack(TimeCache, "lru", 32, 5)
+		lru, err := attack.RunLRU(lruCfg, 32, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pp, err := RunPrimeProbeAttack(TimeCache, false, 32, 5)
+		pp, err := attack.RunPrimeProbe(tc, 32, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -226,24 +228,18 @@ func byteLabel(n int) string {
 // 4-context machine (2 cores x 2 SMT threads): pointer overflow converts
 // area savings into extra first-access misses.
 func BenchmarkLimitedPointerTracker(b *testing.B) {
-	run := func(maxSharers int) (firstAccess uint64) {
-		sys, err := New(Config{Mode: TimeCache, Cores: 2, MaxSharers: maxSharers})
-		if err != nil {
-			b.Fatal(err)
-		}
+	run := func(maxSharers int) uint64 {
+		k := newKernel(machine.Config{Defense: defense.TimeCache, Cores: 2, MaxSharers: maxSharers})
 		for i := 0; i < 2; i++ {
-			if _, err := sys.SpawnSpec("gobmk", i, 80_000, uint64(1001+i*1001)); err != nil {
+			if _, err := spawnSpec(k, "gobmk", i, 80_000, uint64(1001+i*1001)); err != nil {
 				b.Fatal(err)
 			}
 		}
-		sys.Run(1 << 62)
-		if !sys.AllExited() {
+		k.Run(1 << 62)
+		if !k.AllExited() {
 			b.Fatal("did not finish")
 		}
-		for _, c := range sys.Stats().Caches {
-			firstAccess += c.FirstAccess
-		}
-		return firstAccess
+		return firstAccesses(k)
 	}
 	for i := 0; i < b.N; i++ {
 		full := run(0)
@@ -263,17 +259,14 @@ func BenchmarkLimitedPointerTracker(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	const instrs = 200_000
 	for i := 0; i < b.N; i++ {
-		sys, err := New(Config{Mode: TimeCache})
-		if err != nil {
-			b.Fatal(err)
-		}
+		k := newKernel(machine.Config{Defense: defense.TimeCache})
 		for j := 0; j < 2; j++ {
-			if _, err := sys.SpawnSpec("gobmk", 0, instrs, uint64(1001+j*1001)); err != nil {
+			if _, err := spawnSpec(k, "gobmk", 0, instrs, uint64(1001+j*1001)); err != nil {
 				b.Fatal(err)
 			}
 		}
-		sys.Run(1 << 62)
-		if !sys.AllExited() {
+		k.Run(1 << 62)
+		if !k.AllExited() {
 			b.Fatal("did not finish")
 		}
 	}

@@ -4,10 +4,13 @@
 //
 // Usage:
 //
-//	asm-run prog.s                    # run one program, print results
-//	asm-run -mode timecache -n 2 prog.s   # two shared-text instances
+//	asm-run prog.s                           # run one program, print results
+//	asm-run -defense timecache -n 2 prog.s   # two shared-text instances
 //	echo 'movi r1, 42
-//	sys 0' | asm-run -               # read source from stdin
+//	sys 0' | asm-run -                      # read source from stdin
+//
+// -defense takes any defense registry kind (internal/defense): none,
+// timecache, ftm, dawg-lite, flush-on-switch, clepsydra, fase.
 package main
 
 import (
@@ -15,77 +18,96 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
-	"timecache"
+	"timecache/internal/asm"
+	"timecache/internal/defense"
+	"timecache/internal/kernel"
+	"timecache/internal/machine"
 	"timecache/internal/stats"
+	"timecache/internal/vm"
 )
 
 func main() {
 	var (
-		modeFlag = flag.String("mode", "baseline", "baseline | timecache | ftm")
-		n        = flag.Int("n", 1, "instances to run (sharing text when > 1)")
-		max      = flag.Uint64("max", 1_000_000_000, "cycle budget")
-		verbose  = flag.Bool("v", false, "print per-cache statistics")
+		kind    = flag.String("defense", defense.None, "defense registry kind: "+strings.Join(defense.Kinds(), " | "))
+		n       = flag.Int("n", 1, "instances to run (sharing text when > 1)")
+		max     = flag.Uint64("max", 1_000_000_000, "cycle budget")
+		verbose = flag.Bool("v", false, "print per-cache statistics")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fatal(fmt.Errorf("usage: asm-run [flags] <file.s | ->"))
+	}
+	// StaticOf rejects anything but a registry kind, naming the valid ones.
+	if _, err := defense.StaticOf(*kind); err != nil {
+		fatal(err)
 	}
 
 	src, err := readSource(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	mode, err := timecache.ParseMode(*modeFlag)
+	prog, err := asm.Assemble(string(src))
 	if err != nil {
 		fatal(err)
 	}
 
-	sys, err := timecache.New(timecache.Config{Mode: mode})
-	if err != nil {
-		fatal(err)
-	}
-	var procs []*timecache.Process
+	k := machine.New(machine.Config{Defense: *kind}).Kernel()
+	var procs []*kernel.Process
+	var cpus []*vm.CPU
 	for i := 0; i < *n; i++ {
-		opts := timecache.LoadOptions{Name: fmt.Sprintf("p%d", i+1)}
+		opts := kernel.LoadOptions{Name: fmt.Sprintf("p%d", i+1)}
 		if *n > 1 {
 			opts.ShareKey = "asm-run"
 		}
-		p, err := sys.LoadAsm(string(src), opts)
+		p, cpu, err := k.Load(prog, opts)
 		if err != nil {
 			fatal(err)
 		}
 		procs = append(procs, p)
+		cpus = append(cpus, cpu)
 	}
-	cycles := sys.Run(*max)
+	cycles := k.Run(*max)
 
+	ok := true
 	for i, p := range procs {
 		fmt.Printf("process %d: ", i+1)
-		switch {
-		case p.Err() != nil:
-			fmt.Printf("FAULT: %v\n", p.Err())
-		case !p.Exited():
+		switch fault := procFault(p, cpus[i]); {
+		case fault != nil:
+			ok = false
+			fmt.Printf("FAULT: %v\n", fault)
+		case p.State != kernel.Exited:
+			ok = false
 			fmt.Printf("did not finish within %d cycles\n", *max)
 		default:
-			fmt.Printf("exit=%d instructions=%d\n", p.ExitCode(), p.Stats().Instructions)
+			fmt.Printf("exit=%d instructions=%d\n", p.ExitCode, p.Stats.Instructions)
 		}
-		for _, v := range p.Output() {
+		for _, v := range cpus[i].Output {
 			fmt.Printf("  output: %d (0x%x)\n", v, v)
 		}
 	}
-	fmt.Printf("total: %d cycles, %d context switches\n", cycles, sys.Stats().ContextSwitches)
+	fmt.Printf("total: %d cycles, %d context switches\n", cycles, k.Stats.ContextSwitches)
 	if *verbose {
 		tb := stats.NewTable("cache", "accesses", "hits", "misses", "first-access")
-		for _, c := range sys.Stats().Caches {
-			tb.Add(c.Name, c.Accesses, c.Hits, c.Misses, c.FirstAccess)
+		for _, c := range k.Hierarchy().Caches() {
+			tb.Add(c.Name(), c.Stats.Accesses, c.Stats.Hits, c.Stats.Misses, c.Stats.FirstAccess)
 		}
 		fmt.Print(tb.String())
 	}
-	for _, p := range procs {
-		if p.Err() != nil || !p.Exited() {
-			os.Exit(1)
-		}
+	if !ok {
+		os.Exit(1)
 	}
+}
+
+// procFault returns the fault that killed p: a kernel-level one (page
+// fault, write to read-only text) or the CPU's own (bad PC, division by
+// zero).
+func procFault(p *kernel.Process, cpu *vm.CPU) error {
+	if p.Err != nil {
+		return p.Err
+	}
+	return cpu.Fault
 }
 
 func readSource(arg string) ([]byte, error) {

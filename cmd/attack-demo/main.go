@@ -1,34 +1,51 @@
-// Command attack-demo mounts the paper's attacks against the baseline and
-// TimeCache configurations and reports what leaks.
+// Command attack-demo mounts the paper's attacks against an undefended
+// machine and a defended one and reports what leaks.
 //
 // Usage:
 //
-//	attack-demo                 # run every attack
+//	attack-demo                 # run every attack against none and timecache
 //	attack-demo -attack rsa     # just the flush+reload RSA extraction
 //	attack-demo -attack rsa -bits 128 -seed 7
+//	attack-demo -defense clepsydra -attack coherence
 //
 // Attacks: micro, rsa, evictreload, flushflush, primeprobe, lru,
-// coherence, evicttime.
+// coherence, smt, evicttime. -defense takes any defense registry kind
+// (internal/defense): none, timecache, ftm, dawg-lite, flush-on-switch,
+// clepsydra, fase.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"timecache"
+	"timecache/internal/attack"
+	"timecache/internal/defense"
+	"timecache/internal/machine"
+	"timecache/internal/replacement"
 )
+
+// demo is one attack's run against the undefended and defended machines.
+type demo func(none, def machine.Config, bits int, seed uint64) error
 
 func main() {
 	var (
-		which = flag.String("attack", "all", "attack to run (micro|rsa|evictreload|flushflush|primeprobe|lru|coherence|evicttime|all)")
+		which = flag.String("attack", "all", "attack to run (micro|rsa|evictreload|flushflush|primeprobe|lru|coherence|smt|evicttime|all)")
+		kind  = flag.String("defense", defense.TimeCache, "defense registry kind: "+strings.Join(defense.Kinds(), " | "))
 		bits  = flag.Int("bits", 64, "secret/key length in bits")
 		seed  = flag.Uint64("seed", 42, "secret/key seed")
 	)
 	flag.Parse()
+	// StaticOf rejects anything but a registry kind, naming the valid ones.
+	if _, err := defense.StaticOf(*kind); err != nil {
+		fmt.Fprintln(os.Stderr, "attack-demo:", err)
+		os.Exit(1)
+	}
+	none, def := machine.Config{Defense: defense.None}, machine.Config{Defense: *kind}
 
-	attacks := map[string]func(int, uint64) error{
-		"micro":       func(int, uint64) error { return micro() },
+	attacks := map[string]demo{
+		"micro":       micro,
 		"rsa":         rsaAttack,
 		"evictreload": evictReload,
 		"flushflush":  flushFlush,
@@ -36,13 +53,13 @@ func main() {
 		"lru":         lru,
 		"coherence":   coherence,
 		"smt":         smt,
-		"evicttime":   func(int, uint64) error { return evictTime() },
+		"evicttime":   evictTime,
 	}
 	order := []string{"micro", "rsa", "evictreload", "flushflush", "primeprobe", "lru", "coherence", "smt", "evicttime"}
 
 	run := func(name string) {
 		fmt.Printf("=== %s ===\n", name)
-		if err := attacks[name](*bits, *seed); err != nil {
+		if err := attacks[name](none, def, *bits, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "attack-demo: %s: %v\n", name, err)
 			os.Exit(1)
 		}
@@ -61,122 +78,126 @@ func main() {
 	run(*which)
 }
 
-func micro() error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunMicrobenchmark(mode)
+func micro(none, def machine.Config, _ int, _ uint64) error {
+	for _, cfg := range []machine.Config{none, def} {
+		r, err := attack.RunMicrobenchmark(cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-9s: %3d/%d shared lines observed as hits (mean probe %.1f cycles)\n",
-			mode, r.Hits, r.Lines, r.MeanLatency)
+			cfg.Defense, r.Hits, r.Lines, r.MeanLatency)
 	}
 	fmt.Println("paper §VI-A1: the attacker must see zero hits under the defense")
 	return nil
 }
 
-func rsaAttack(bits int, seed uint64) error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunRSAAttack(mode, bits, seed)
+func rsaAttack(none, def machine.Config, bits int, seed uint64) error {
+	for _, cfg := range []machine.Config{none, def} {
+		r, err := attack.RunRSA(cfg, bits, seed)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-9s: accuracy %.1f%%, %d probe hits, victim correct: %v\n",
-			mode, r.Accuracy*100, r.Hits, r.VictimCorrect)
-		fmt.Printf("  key      : %s\n  recovered: %s\n", r.KeyBits, r.RecoveredBits)
+			cfg.Defense, r.Accuracy*100, r.Hits, r.VictimCorrect)
+		fmt.Printf("  key      : %s\n  recovered: %s\n", r.Key, r.Recovered)
 	}
 	fmt.Println("paper §VI-A2: flush+reload extracts the key on the baseline; TimeCache blinds it")
 	return nil
 }
 
-func evictReload(bits int, seed uint64) error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunEvictReloadAttack(mode, bits, seed)
+func evictReload(none, def machine.Config, bits int, seed uint64) error {
+	for _, cfg := range []machine.Config{none, def} {
+		r, err := attack.RunEvictReload(cfg, bits, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-9s: accuracy %.1f%%, %d probe hits\n", mode, r.Accuracy*100, r.Hits)
+		fmt.Printf("%-9s: accuracy %.1f%%, %d probe hits\n", cfg.Defense, r.Accuracy*100, r.Hits)
 	}
 	fmt.Println("evict+reload (no clflush needed) is blocked the same way")
 	return nil
 }
 
-func flushFlush(bits int, seed uint64) error {
-	leaky, err := timecache.RunFlushFlushAttack(timecache.TimeCache, false, bits, seed)
+func flushFlush(_, def machine.Config, bits int, seed uint64) error {
+	leaky, err := attack.RunFlushFlush(def, bits, seed)
 	if err != nil {
 		return err
 	}
-	fixed, err := timecache.RunFlushFlushAttack(timecache.TimeCache, true, bits, seed)
+	def.ConstantTimeFlush = true
+	fixed, err := attack.RunFlushFlush(def, bits, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("timecache, variable-time clflush: accuracy %.1f%% (leaks)\n", leaky.Accuracy*100)
-	fmt.Printf("timecache, constant-time clflush: accuracy %.1f%% (mitigated)\n", fixed.Accuracy*100)
+	fmt.Printf("%s, variable-time clflush: accuracy %.1f%%\n", def.Defense, leaky.Accuracy*100)
+	fmt.Printf("%s, constant-time clflush: accuracy %.1f%%\n", def.Defense, fixed.Accuracy*100)
 	fmt.Println("paper §VII-C: flush+flush needs the constant-time clflush mitigation")
 	return nil
 }
 
-func primeProbe(bits int, seed uint64) error {
-	tc, err := timecache.RunPrimeProbeAttack(timecache.TimeCache, false, bits, seed)
+func primeProbe(none, def machine.Config, bits int, seed uint64) error {
+	plain, err := attack.RunPrimeProbe(def, bits, seed)
 	if err != nil {
 		return err
 	}
-	rnd, err := timecache.RunPrimeProbeAttack(timecache.Baseline, true, bits, seed)
+	none.RandomizedIndex = 0xC0FFEE
+	rnd, err := attack.RunPrimeProbe(none, bits, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("timecache, normal index    : accuracy %.1f%% (contention is out of scope)\n", tc.Accuracy*100)
-	fmt.Printf("baseline, randomized index : accuracy %.1f%% (CEASER-lite defeats it)\n", rnd.Accuracy*100)
+	fmt.Printf("%s, normal index : accuracy %.1f%%\n", def.Defense, plain.Accuracy*100)
+	fmt.Printf("%s, randomized index : accuracy %.1f%% (CEASER-lite defeats it)\n", none.Defense, rnd.Accuracy*100)
 	fmt.Println("paper §IX: pair TimeCache with a randomizing cache for a holistic defense")
 	return nil
 }
 
-func lru(bits int, seed uint64) error {
-	det, err := timecache.RunLRUAttack(timecache.TimeCache, "lru", bits, seed)
+func lru(_, def machine.Config, bits int, seed uint64) error {
+	def.Policy = replacement.LRU
+	det, err := attack.RunLRU(def, bits, seed)
 	if err != nil {
 		return err
 	}
-	rnd, err := timecache.RunLRUAttack(timecache.TimeCache, "random", bits, seed)
+	def.Policy = replacement.Random
+	rnd, err := attack.RunLRU(def, bits, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("timecache + true LRU        : accuracy %.1f%% (replacement state leaks)\n", det.Accuracy*100)
-	fmt.Printf("timecache + random replace  : accuracy %.1f%% (channel destroyed)\n", rnd.Accuracy*100)
+	fmt.Printf("%s + true LRU       : accuracy %.1f%%\n", def.Defense, det.Accuracy*100)
+	fmt.Printf("%s + random replace : accuracy %.1f%% (channel destroyed)\n", def.Defense, rnd.Accuracy*100)
 	fmt.Println("paper §VII-A: LRU attacks are the randomizing cache's job")
 	return nil
 }
 
-func coherence(bits int, seed uint64) error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunCoherenceAttack(mode, bits, seed)
+func coherence(none, def machine.Config, bits int, seed uint64) error {
+	for _, cfg := range []machine.Config{none, def} {
+		r, err := attack.RunCoherence(cfg, bits, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-9s: accuracy %.1f%%\n", mode, r.Accuracy*100)
+		fmt.Printf("%-9s: accuracy %.1f%%\n", cfg.Defense, r.Accuracy*100)
 	}
 	fmt.Println("paper §VII-B: waiting for the DRAM response hides the remote-L1 forward")
 	return nil
 }
 
-func smt(bits int, seed uint64) error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunSMTAttack(mode, bits, seed)
+func smt(none, def machine.Config, bits int, seed uint64) error {
+	for _, cfg := range []machine.Config{none, def} {
+		r, err := attack.RunSMT(cfg, bits, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-9s: accuracy %.1f%%\n", mode, r.Accuracy*100)
+		fmt.Printf("%-9s: accuracy %.1f%%\n", cfg.Defense, r.Accuracy*100)
 	}
 	fmt.Println("paper §III: hyperthread attackers sharing the L1 are inside the threat model")
 	return nil
 }
 
-func evictTime() error {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		r, err := timecache.RunEvictTimeAttack(mode, 2000)
+func evictTime(none, def machine.Config, _ int, _ uint64) error {
+	for _, cfg := range []machine.Config{none, def} {
+		r, err := attack.RunEvictTime(cfg, 2000)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-9s: victim %d cycles flushed vs %d undisturbed (leaks: %v)\n",
-			mode, r.VictimCyclesFlushed, r.VictimCyclesUndisturbed, r.Leaks)
+			cfg.Defense, r.VictimCyclesFlushed, r.VictimCyclesUndisturbed, r.Leaks())
 	}
 	fmt.Println("paper §VII-D: evict+time persists but stays noisy and impractical")
 	return nil

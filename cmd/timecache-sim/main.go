@@ -1,12 +1,16 @@
 // Command timecache-sim runs a mix of workload models on a simulated
 // machine and prints per-cache statistics, normalized against an optional
-// baseline run.
+// undefended run.
 //
 // Usage:
 //
-//	timecache-sim -mode timecache -workloads lbm,wrf -instrs 300000
-//	timecache-sim -mode baseline  -workloads 2Xperlbench
-//	timecache-sim -compare -workloads 2Xlbm   # run baseline AND timecache
+//	timecache-sim -defense timecache -workloads lbm,wrf -instrs 300000
+//	timecache-sim -defense none -workloads 2Xperlbench
+//	timecache-sim -compare -workloads 2Xlbm   # run none AND timecache
+//	timecache-sim -compare -defense clepsydra -workloads 2Xnamd
+//
+// -defense takes any defense registry kind (internal/defense): none,
+// timecache, ftm, dawg-lite, flush-on-switch, clepsydra, fase.
 //
 // Sweeps (LLC sizes, the defense×attack matrix, ...) are experiment jobs:
 // run them with cmd/reproduce (-only llc-sweep, -only matrix) or submit
@@ -14,11 +18,11 @@
 //
 // Telemetry outputs (any may be combined; see internal/telemetry):
 //
-//	timecache-sim -mode timecache -metrics-out m.csv -sample-every 5000
-//	timecache-sim -mode timecache -trace-json t.json    # load in Perfetto
-//	timecache-sim -mode timecache -manifest run.json -hist
+//	timecache-sim -metrics-out m.csv -sample-every 5000
+//	timecache-sim -trace-json t.json    # load in Perfetto
+//	timecache-sim -manifest run.json -hist
 //
-// In -compare mode the telemetry outputs come from the timecache leg.
+// In -compare mode the telemetry outputs come from the -defense leg.
 package main
 
 import (
@@ -32,19 +36,22 @@ import (
 	"strings"
 	"time"
 
-	"timecache"
+	"timecache/internal/defense"
+	"timecache/internal/kernel"
+	"timecache/internal/machine"
 	"timecache/internal/stats"
 	"timecache/internal/telemetry"
+	"timecache/internal/workload"
 )
 
 func main() {
 	var (
-		modeFlag  = flag.String("mode", "timecache", "defense mode: baseline | timecache | ftm")
+		kind      = flag.String("defense", defense.TimeCache, "defense registry kind: "+strings.Join(defense.Kinds(), " | "))
 		workloads = flag.String("workloads", "2Xlbm", "comma-separated SPEC profile names, or 2X<name> for a pair")
 		instrs    = flag.Uint64("instrs", 300_000, "instructions per process")
 		llc       = flag.Int("llc", 2<<20, "LLC size in bytes")
 		cores     = flag.Int("cores", 1, "number of cores")
-		compare   = flag.Bool("compare", false, "run baseline and timecache and report normalized time")
+		compare   = flag.Bool("compare", false, "run none and -defense and report normalized time")
 		gate      = flag.Bool("gatelevel", false, "use the gate-level bit-serial comparator")
 		cohCheck  = flag.Bool("coherence-check", false, "cross-check the LLC sharer directory against brute-force L1 probes on every coherence event (debug; slow)")
 		timeout   = flag.Duration("timeout", 0, "overall deadline (e.g. 30s); on expiry the run stops cleanly mid-simulation")
@@ -61,6 +68,10 @@ func main() {
 		showHist    = flag.Bool("hist", false, "print latency histograms after the run")
 	)
 	flag.Parse()
+	// StaticOf rejects anything but a registry kind, naming the valid ones.
+	if _, err := defense.StaticOf(*kind); err != nil {
+		fatal(err)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -103,21 +114,18 @@ func main() {
 		defer cancel()
 	}
 
+	cfg := machine.Config{Defense: *kind, LLCSize: *llc, Cores: *cores, GateLevel: *gate, CoherenceCheck: *cohCheck}
 	if *compare {
-		if err := runCompare(ctx, *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn, *showHist); err != nil {
+		if err := runCompare(ctx, cfg, *workloads, *instrs, tcfg, telemetryOn, *showHist); err != nil {
 			fatalCtx(err, *timeout)
 		}
 		return
 	}
-	mode, err := timecache.ParseMode(*modeFlag)
-	if err != nil {
-		fatal(err)
-	}
-	cycles, st, col, err := runOnce(ctx, mode, *workloads, *instrs, *llc, *cores, *gate, *cohCheck, tcfg, telemetryOn)
+	cycles, k, col, err := runOnce(ctx, cfg, *workloads, *instrs, tcfg, telemetryOn)
 	if err != nil {
 		fatalCtx(err, *timeout)
 	}
-	printStats(mode, cycles, st)
+	printStats(cfg.Defense, cycles, k)
 	reportTelemetry(col, *showHist)
 }
 
@@ -139,61 +147,68 @@ func expand(list string) []string {
 	return out
 }
 
-func runOnce(ctx context.Context, mode timecache.Mode, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry bool) (uint64, timecache.Stats, *telemetry.Collector, error) {
-	sys, err := timecache.New(timecache.Config{
-		Mode: mode, LLCSize: llc, Cores: cores, GateLevel: gate,
-		CoherenceCheck: cohCheck,
-	})
-	if err != nil {
-		return 0, timecache.Stats{}, nil, err
-	}
-	var col *telemetry.Collector
-	if withTelemetry {
-		col = sys.AttachTelemetry(tcfg)
-		col.SetMeta("workloads", workloads)
-		col.SetMeta("instrs_per_proc", instrs)
-		col.SetMeta("mode", mode.String())
-	}
+// runOnce runs the workloads on a machine built from cfg and returns the
+// cycle count and the machine's kernel for its counters.
+func runOnce(ctx context.Context, cfg machine.Config, workloads string, instrs uint64, tcfg telemetry.Config, withTelemetry bool) (uint64, *kernel.Kernel, *telemetry.Collector, error) {
 	names := expand(workloads)
 	if len(names) == 0 {
-		return 0, timecache.Stats{}, nil, fmt.Errorf("no workloads given")
+		return 0, nil, nil, fmt.Errorf("no workloads given")
 	}
+	m := machine.New(cfg)
+	k := m.Kernel()
+	var col *telemetry.Collector
+	if withTelemetry {
+		col = m.AttachTelemetry(tcfg)
+		col.SetMeta("workloads", workloads)
+		col.SetMeta("instrs_per_proc", instrs)
+	}
+	cores := m.Hierarchy().Config().Cores
 	for i, name := range names {
-		if _, err := sys.SpawnSpec(name, i%cores, instrs, uint64(1001+i*1001)); err != nil {
-			return 0, timecache.Stats{}, nil, err
+		prof, err := workload.Spec(name)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		opts := workload.SpawnOptions{Core: i % cores, Instrs: instrs, Seed: uint64(1001 + i*1001)}
+		if _, _, err := workload.Spawn(k, prof, opts); err != nil {
+			return 0, nil, nil, err
 		}
 	}
-	cycles := sys.RunContext(ctx, 1<<62)
+	cycles := k.RunCtx(ctx, 1<<62)
 	if err := ctx.Err(); err != nil {
-		return 0, timecache.Stats{}, nil, fmt.Errorf("stopped after %d cycles: %w", cycles, err)
+		return 0, nil, nil, fmt.Errorf("stopped after %d cycles: %w", cycles, err)
 	}
-	if !sys.AllExited() {
-		return 0, timecache.Stats{}, nil, fmt.Errorf("workloads did not finish")
+	if !k.AllExited() {
+		return 0, nil, nil, fmt.Errorf("workloads did not finish")
 	}
 	if col != nil {
 		if err := col.Finish(); err != nil {
-			return 0, timecache.Stats{}, nil, err
+			return 0, nil, nil, err
 		}
 	}
-	return cycles, sys.Stats(), col, nil
+	return cycles, k, col, nil
 }
 
-func runCompare(ctx context.Context, workloads string, instrs uint64, llc, cores int, gate, cohCheck bool, tcfg telemetry.Config, withTelemetry, showHist bool) error {
-	bCycles, _, _, err := runOnce(ctx, timecache.Baseline, workloads, instrs, llc, cores, gate, cohCheck, telemetry.Config{}, false)
+// runCompare runs the workloads undefended and under cfg.Defense and
+// reports the defended run normalized to the undefended one.
+func runCompare(ctx context.Context, cfg machine.Config, workloads string, instrs uint64, tcfg telemetry.Config, withTelemetry, showHist bool) error {
+	base := cfg
+	base.Defense = defense.None
+	bCycles, _, _, err := runOnce(ctx, base, workloads, instrs, telemetry.Config{}, false)
 	if err != nil {
 		return err
 	}
-	tCycles, st, col, err := runOnce(ctx, timecache.TimeCache, workloads, instrs, llc, cores, gate, cohCheck, tcfg, withTelemetry)
+	dCycles, k, col, err := runOnce(ctx, cfg, workloads, instrs, tcfg, withTelemetry)
 	if err != nil {
 		return err
 	}
-	printStats(timecache.TimeCache, tCycles, st)
+	printStats(cfg.Defense, dCycles, k)
 	reportTelemetry(col, showHist)
-	norm := float64(tCycles) / float64(bCycles)
-	fmt.Printf("\nbaseline cycles : %d\n", bCycles)
-	fmt.Printf("timecache cycles: %d\n", tCycles)
-	fmt.Printf("normalized time : %.4f (%.2f%% overhead, cold start included)\n",
-		norm, (norm-1)*100)
+	norm := float64(dCycles) / float64(bCycles)
+	fmt.Println()
+	fmt.Printf("%-16s: %d\n", defense.None+" cycles", bCycles)
+	fmt.Printf("%-16s: %d\n", cfg.Defense+" cycles", dCycles)
+	fmt.Printf("%-16s: %.4f (%.2f%% overhead, cold start included)\n",
+		"normalized time", norm, (norm-1)*100)
 	return nil
 }
 
@@ -213,12 +228,12 @@ func reportTelemetry(col *telemetry.Collector, showHist bool) {
 		len(col.Sampler().Samples()), col.Histograms().Total(), col.Trace().Len())
 }
 
-func printStats(mode timecache.Mode, cycles uint64, st timecache.Stats) {
-	fmt.Printf("mode=%s cycles=%d switches=%d syscalls=%d bookkeeping=%d cycles\n\n",
-		mode, cycles, st.ContextSwitches, st.Syscalls, st.BookkeepingCycles)
+func printStats(kind string, cycles uint64, k *kernel.Kernel) {
+	fmt.Printf("defense=%s cycles=%d switches=%d syscalls=%d bookkeeping=%d cycles\n\n",
+		kind, cycles, k.Stats.ContextSwitches, k.Stats.Syscalls, k.Stats.BookkeepingCycles)
 	tb := stats.NewTable("cache", "accesses", "hits", "misses", "first-access", "evictions")
-	for _, c := range st.Caches {
-		tb.Add(c.Name, c.Accesses, c.Hits, c.Misses, c.FirstAccess, c.Evictions)
+	for _, c := range k.Hierarchy().Caches() {
+		tb.Add(c.Name(), c.Stats.Accesses, c.Stats.Hits, c.Stats.Misses, c.Stats.FirstAccess, c.Stats.Evictions)
 	}
 	fmt.Print(tb.String())
 }

@@ -3,28 +3,33 @@ package timecache_test
 import (
 	"fmt"
 
-	"timecache"
+	"timecache/internal/asm"
+	"timecache/internal/attack"
+	"timecache/internal/defense"
+	"timecache/internal/kernel"
+	"timecache/internal/machine"
 )
 
 // Build a machine, run a tiny program, and read its result.
-func ExampleSystem_LoadAsm() {
-	sys, _ := timecache.New(timecache.Config{Mode: timecache.TimeCache})
-	p, _ := sys.LoadAsm(`
+func Example_loadAsm() {
+	k := machine.New(machine.Config{Defense: defense.TimeCache}).Kernel()
+	prog, _ := asm.Assemble(`
 		movi r1, 6
 		movi r2, 7
 		mul  r1, r1, r2
 		sys  0           ; exit(r1)
-	`, timecache.LoadOptions{})
-	sys.Run(1 << 30)
-	fmt.Println(p.ExitCode())
+	`)
+	p, _, _ := k.Load(prog, kernel.LoadOptions{})
+	k.Run(1 << 30)
+	fmt.Println(p.ExitCode)
 	// Output: 42
 }
 
 // The headline security result: the flush+reload RSA key extraction
 // succeeds on an undefended cache and observes nothing under TimeCache.
-func ExampleRunRSAAttack() {
-	base, _ := timecache.RunRSAAttack(timecache.Baseline, 32, 7)
-	defended, _ := timecache.RunRSAAttack(timecache.TimeCache, 32, 7)
+func Example_rsaAttack() {
+	base, _ := attack.RunRSA(machine.Config{Defense: defense.None}, 32, 7)
+	defended, _ := attack.RunRSA(machine.Config{Defense: defense.TimeCache}, 32, 7)
 	fmt.Printf("baseline recovered the key: %v\n", base.Accuracy == 1)
 	fmt.Printf("timecache probe hits: %d\n", defended.Hits)
 	// Output:
@@ -34,9 +39,9 @@ func ExampleRunRSAAttack() {
 
 // The §VI-A1 microbenchmark: flush a shared array, let the victim write
 // it, time the reloads.
-func ExampleRunMicrobenchmark() {
-	base, _ := timecache.RunMicrobenchmark(timecache.Baseline)
-	defended, _ := timecache.RunMicrobenchmark(timecache.TimeCache)
+func Example_microbenchmark() {
+	base, _ := attack.RunMicrobenchmark(machine.Config{Defense: defense.None})
+	defended, _ := attack.RunMicrobenchmark(machine.Config{Defense: defense.TimeCache})
 	fmt.Printf("baseline: %d/%d hits, timecache: %d/%d hits\n",
 		base.Hits, base.Lines, defended.Hits, defended.Lines)
 	// Output: baseline: 256/256 hits, timecache: 0/256 hits

@@ -19,7 +19,10 @@ import (
 	"fmt"
 	"log"
 
-	"timecache"
+	"timecache/internal/asm"
+	"timecache/internal/defense"
+	"timecache/internal/kernel"
+	"timecache/internal/machine"
 )
 
 const microbench = `
@@ -85,28 +88,29 @@ miss:
 `
 
 func main() {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		sys, err := timecache.New(timecache.Config{Mode: mode})
+	prog, err := asm.Assemble(microbench)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, kind := range []string{defense.None, defense.TimeCache} {
+		k := machine.New(machine.Config{Defense: kind}).Kernel()
+		attacker, attackerCPU, err := k.Load(prog, kernel.LoadOptions{ShareKey: "micro", Name: "attacker"})
 		if err != nil {
 			log.Fatal(err)
 		}
-		attacker, err := sys.LoadAsm(microbench, timecache.LoadOptions{ShareKey: "micro", Name: "attacker"})
+		victim, victimCPU, err := k.Load(prog, kernel.LoadOptions{ShareKey: "micro", Name: "victim"})
 		if err != nil {
 			log.Fatal(err)
 		}
-		victim, err := sys.LoadAsm(microbench, timecache.LoadOptions{ShareKey: "micro", Name: "victim"})
-		if err != nil {
-			log.Fatal(err)
+		k.Run(1 << 62)
+		if attacker.Err != nil || attackerCPU.Fault != nil {
+			log.Fatalf("attacker faulted: %v %v", attacker.Err, attackerCPU.Fault)
 		}
-		sys.Run(1 << 62)
-		if err := attacker.Err(); err != nil {
-			log.Fatalf("attacker faulted: %v", err)
-		}
-		if err := victim.Err(); err != nil {
-			log.Fatalf("victim faulted: %v", err)
+		if victim.Err != nil || victimCPU.Fault != nil {
+			log.Fatalf("victim faulted: %v %v", victim.Err, victimCPU.Fault)
 		}
 		fmt.Printf("%-9s: attacker observed %3d/256 shared lines as cache hits\n",
-			mode, attacker.ExitCode())
+			kind, attacker.ExitCode)
 	}
 	fmt.Println()
 	fmt.Println("The attacker binary itself is unchanged between runs; only the cache")

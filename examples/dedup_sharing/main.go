@@ -12,7 +12,10 @@ import (
 	"fmt"
 	"log"
 
-	"timecache"
+	"timecache/internal/asm"
+	"timecache/internal/defense"
+	"timecache/internal/kernel"
+	"timecache/internal/machine"
 )
 
 // A program that repeatedly touches its own text so the shared (deduped)
@@ -27,30 +30,30 @@ loop:
 `
 
 func main() {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		sys, err := timecache.New(timecache.Config{Mode: mode})
-		if err != nil {
-			log.Fatal(err)
-		}
+	prog, err := asm.Assemble(worker)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, kind := range []string{defense.None, defense.TimeCache} {
+		k := machine.New(machine.Config{Defense: kind}).Kernel()
 		// No ShareKey: each process gets private frames for its text.
 		for i := 0; i < 2; i++ {
-			if _, err := sys.LoadAsm(worker, timecache.LoadOptions{Name: fmt.Sprintf("w%d", i)}); err != nil {
+			if _, _, err := k.Load(prog, kernel.LoadOptions{Name: fmt.Sprintf("w%d", i)}); err != nil {
 				log.Fatal(err)
 			}
 		}
-		merged := sys.DedupScan()
-		cycles := sys.Run(1 << 62)
-		if !sys.AllExited() {
+		merged := k.DedupScan()
+		cycles := k.Run(1 << 62)
+		if !k.AllExited() {
 			log.Fatal("workers did not finish")
 		}
-		st := sys.Stats()
 		var firstAccess uint64
-		for _, c := range st.Caches {
-			firstAccess += c.FirstAccess
+		for _, c := range k.Hierarchy().Caches() {
+			firstAccess += c.Stats.FirstAccess
 		}
-		fmt.Printf("--- %s ---\n", mode)
+		fmt.Printf("--- %s ---\n", kind)
 		fmt.Printf("pages merged by KSM scan : %d (COW preserved: %d breaks during run)\n",
-			merged, st.COWBreaks)
+			merged, k.Stats.COWBreaks)
 		fmt.Printf("run                      : %d cycles, %d first-access misses\n\n",
 			cycles, firstAccess)
 	}

@@ -8,7 +8,11 @@ import (
 	"fmt"
 	"log"
 
-	"timecache"
+	"timecache/internal/asm"
+	"timecache/internal/defense"
+	"timecache/internal/kernel"
+	"timecache/internal/machine"
+	"timecache/internal/vm"
 )
 
 // Two copies of this program share their text segment (same ShareKey), so
@@ -25,32 +29,36 @@ loop:
 `
 
 func main() {
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		sys, err := timecache.New(timecache.Config{Mode: mode})
-		if err != nil {
-			log.Fatal(err)
-		}
-		var procs []*timecache.Process
+	prog, err := asm.Assemble(program)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, kind := range []string{defense.None, defense.TimeCache} {
+		k := machine.New(machine.Config{Defense: kind}).Kernel()
+		var procs []*kernel.Process
+		var cpus []*vm.CPU
 		for i := 0; i < 2; i++ {
-			p, err := sys.LoadAsm(program, timecache.LoadOptions{ShareKey: "counter"})
+			p, cpu, err := k.Load(prog, kernel.LoadOptions{ShareKey: "counter"})
 			if err != nil {
 				log.Fatal(err)
 			}
 			procs = append(procs, p)
+			cpus = append(cpus, cpu)
 		}
-		cycles := sys.Run(1 << 62)
+		cycles := k.Run(1 << 62)
 		for i, p := range procs {
-			if !p.Exited() || p.Err() != nil {
-				log.Fatalf("process %d did not finish cleanly: %v", i, p.Err())
+			// A CPU fault (bad PC, division by zero) is recorded on the
+			// CPU, a kernel fault (page fault) on the process.
+			if p.State != kernel.Exited || p.Err != nil || cpus[i].Fault != nil {
+				log.Fatalf("process %d did not finish cleanly: %v %v", i, p.Err, cpus[i].Fault)
 			}
 		}
-		st := sys.Stats()
 		var firstAccess uint64
-		for _, c := range st.Caches {
-			firstAccess += c.FirstAccess
+		for _, c := range k.Hierarchy().Caches() {
+			firstAccess += c.Stats.FirstAccess
 		}
 		fmt.Printf("%-9s: %10d cycles, %4d context switches, %6d first-access misses\n",
-			mode, cycles, st.ContextSwitches, firstAccess)
+			kind, cycles, k.Stats.ContextSwitches, firstAccess)
 	}
 	fmt.Println()
 	fmt.Println("The baseline never delays reuse of another process's cached lines;")

@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"log"
 
-	"timecache"
+	"timecache/internal/attack"
+	"timecache/internal/defense"
+	"timecache/internal/machine"
 )
 
 func main() {
@@ -20,14 +22,14 @@ func main() {
 	fmt.Println("flush+reload against square-and-multiply RSA")
 	fmt.Printf("key length: %d bits, seed %#x\n\n", keyBits, seed)
 
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		res, err := timecache.RunRSAAttack(mode, keyBits, seed)
+	for _, kind := range []string{defense.None, defense.TimeCache} {
+		res, err := attack.RunRSA(machine.Config{Defense: kind}, keyBits, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("--- %s ---\n", mode)
-		fmt.Printf("secret key: %s\n", res.KeyBits)
-		fmt.Printf("recovered : %s\n", res.RecoveredBits)
+		fmt.Printf("--- %s ---\n", kind)
+		fmt.Printf("secret key: %s\n", res.Key)
+		fmt.Printf("recovered : %s\n", res.Recovered)
 		fmt.Printf("accuracy  : %.1f%%   probe hits: %d   victim result correct: %v\n\n",
 			res.Accuracy*100, res.Hits, res.VictimCorrect)
 	}
@@ -37,7 +39,7 @@ func main() {
 
 	// The evict+reload variant needs no clflush: the attacker displaces the
 	// monitored lines with LLC eviction sets it constructed itself.
-	er, err := timecache.RunEvictReloadAttack(timecache.TimeCache, 48, seed)
+	er, err := attack.RunEvictReload(machine.Config{Defense: defense.TimeCache}, 48, seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,19 +12,21 @@ import (
 	"fmt"
 	"log"
 
-	"timecache"
+	"timecache/internal/attack"
+	"timecache/internal/defense"
+	"timecache/internal/machine"
 )
 
 func main() {
 	secret := []byte("squeamish ossifrage")
 	fmt.Printf("victim's secret: %q\n\n", secret)
 
-	for _, mode := range []timecache.Mode{timecache.Baseline, timecache.TimeCache} {
-		res, err := timecache.RunSpectreChannel(mode, secret)
+	for _, kind := range []string{defense.None, defense.TimeCache} {
+		res, err := attack.RunSpectre(machine.Config{Defense: kind}, secret)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("--- %s ---\n", mode)
+		fmt.Printf("--- %s ---\n", kind)
 		fmt.Printf("recovered      : %q\n", printable(res.Recovered))
 		fmt.Printf("bytes correct  : %d/%d   probe hits: %d\n\n",
 			res.BytesCorrect, len(secret), res.Hits)

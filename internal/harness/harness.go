@@ -109,10 +109,10 @@ func (o Options) newPool() *machine.Pool {
 	return machine.NewPool()
 }
 
-// attachTelemetry attaches a collector for the machine run labeled label
-// (e.g. "2Xlbm/timecache") of the current job leg, or returns nil when
-// telemetry is off.
-func (o Options) attachTelemetry(k *kernel.Kernel, label string) *telemetry.Collector {
+// attachTelemetry attaches a collector to m for the machine run labeled
+// label (e.g. "2Xlbm/timecache") of the current job leg, or returns nil
+// when telemetry is off.
+func (o Options) attachTelemetry(m *machine.Machine, label string) *telemetry.Collector {
 	if o.Telemetry == nil {
 		return nil
 	}
@@ -120,7 +120,7 @@ func (o Options) attachTelemetry(k *kernel.Kernel, label string) *telemetry.Coll
 	if o.exp != "" {
 		suffix = fmt.Sprintf("%s_%d_%s", o.exp, o.leg, suffix)
 	}
-	col := telemetry.New(o.Telemetry.WithSuffix(suffix)).Attach(k)
+	col := m.AttachTelemetry(o.Telemetry.WithSuffix(suffix))
 	col.SetMeta("experiment", o.exp)
 	col.SetMeta("leg", o.leg)
 	col.SetMeta("run", label)
@@ -334,7 +334,7 @@ func runLeg(pool *machine.Pool, opts Options, l leg) (measurement, error) {
 		return measurement{}, err
 	}
 	targets = n
-	col := opts.attachTelemetry(k, l.label)
+	col := opts.attachTelemetry(m, l.label)
 	k.RunCtx(opts.ctx(), 1<<62)
 	if err := opts.ctx().Err(); err != nil {
 		return measurement{}, err

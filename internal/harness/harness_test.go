@@ -353,13 +353,17 @@ func TestTelemetryOneFilePerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms = readManifests(t, ablDir)
-	runs := map[string]bool{}
+	runs := map[string]string{} // run label -> the manifest's machine.defense
 	for _, m := range ms {
-		runs[fmt.Sprint(m.Meta["run"])] = true
+		runs[fmt.Sprint(m.Meta["run"])] = m.Machine.Defense
 	}
 	for _, kind := range defense.Kinds() {
-		if want := pair + "/" + ablationName(kind); !runs[want] {
+		want := pair + "/" + ablationName(kind)
+		got, ok := runs[want]
+		if !ok {
 			t.Errorf("ablation: no manifest for %s (have %v)", want, runs)
+		} else if got != kind {
+			t.Errorf("ablation: manifest for %s records defense %q, want %q", want, got, kind)
 		}
 	}
 	if len(ms) != len(defense.Kinds()) {

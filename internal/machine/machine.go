@@ -3,9 +3,9 @@
 // geometry, kernel parameters, physical memory size), and New composes the
 // clock-bearing kernel, cache hierarchy, and physical memory from it.
 //
-// Every entry point that needs a machine — the public timecache.System, the
-// experiment harness, the attack scenarios, and the CLIs — derives a Config
-// and calls New here, so `machine.New` is the only place outside tests where
+// Every entry point that needs a machine — the experiment harness, the
+// attack scenarios, the CLIs and the examples — derives a Config and calls
+// New here, so `machine.New` is the only place outside tests where
 // cache.NewHierarchy, mem.NewPhysical, and kernel.New are composed.
 //
 // Machines are reusable: Reset returns one to the exact state New left it
@@ -78,11 +78,6 @@ type Config struct {
 	// CoherenceCheck cross-checks the LLC sharer directory against a
 	// brute-force probe on every coherence event (debug mode).
 	CoherenceCheck bool
-	// NextLinePrefetch enables the next-line prefetcher.
-	NextLinePrefetch bool
-	// DisableDirectory forces broadcast coherence where the sharer
-	// directory would apply (A/B benchmarking).
-	DisableDirectory bool
 	// Policy overrides the replacement policy; empty keeps the default
 	// (true LRU). PolicySeed seeds the random policy.
 	Policy     replacement.Kind
@@ -97,9 +92,9 @@ type Config struct {
 }
 
 // HierarchyConfig is the canonical Config → cache.HierarchyConfig mapping,
-// deduplicating the derivations that used to live separately in timecache.go
-// and internal/harness. Zero-valued fields keep the paper defaults from
-// cache.DefaultHierarchyConfig; TestHierarchyConfigMapping pins every field.
+// the one derivation every machine goes through. Zero-valued fields keep
+// the paper defaults from cache.DefaultHierarchyConfig;
+// TestHierarchyConfigMapping pins every field.
 func (c Config) HierarchyConfig() cache.HierarchyConfig {
 	st := c.static()
 	h := cache.DefaultHierarchyConfig()
@@ -125,8 +120,6 @@ func (c Config) HierarchyConfig() cache.HierarchyConfig {
 	h.Partitioned = st.Partitioned
 	h.IndexRand = c.RandomizedIndex
 	h.CoherenceCheck = c.CoherenceCheck
-	h.NextLinePrefetch = c.NextLinePrefetch
-	h.DisableDirectory = c.DisableDirectory
 	if c.Policy != "" {
 		h.Policy = c.Policy
 	}
@@ -157,6 +150,15 @@ func (c Config) static() defense.Static {
 		panic(err)
 	}
 	return st
+}
+
+// kind is the registry kind the machine runs under: Defense when set, else
+// the kind of the same name as Mode.
+func (c Config) kind() string {
+	if c.Defense == "" {
+		return defense.KindOfMode(c.Mode)
+	}
+	return c.Defense
 }
 
 func (c Config) frames() int {
@@ -213,9 +215,11 @@ func (m *Machine) Physical() *mem.Physical { return m.phys }
 func (m *Machine) Reset() { m.k.Reset() }
 
 // AttachTelemetry installs a telemetry collector (interval sampler, latency
-// histograms, trace exporter, manifest) on the machine. Reset detaches it.
+// histograms, trace exporter, manifest) on the machine. It is the only
+// attach point, so every manifest records the machine's defense kind.
+// Reset detaches it.
 func (m *Machine) AttachTelemetry(cfg telemetry.Config) *telemetry.Collector {
-	return telemetry.New(cfg).Attach(m.k)
+	return telemetry.New(cfg).Attach(m.k, m.cfg.kind())
 }
 
 // Pool reuses machines across experiment runs, keyed by Config. Get checks a

@@ -14,10 +14,11 @@ import (
 
 // TestHierarchyConfigMapping pins the canonical Config → HierarchyConfig
 // derivation: the zero Config keeps every paper default, and each Config
-// field lands in exactly the HierarchyConfig field the old per-caller
-// derivations (timecache.go, internal/harness) used to set. HierarchyConfig
-// is comparable, so the zero-config case is a single == against
-// cache.DefaultHierarchyConfig.
+// field lands in exactly one HierarchyConfig field. The next-line
+// prefetcher and broadcast-only coherence are cache-level switches with no
+// Config field, so a machine always keeps their defaults (prefetch off,
+// sharer directory on). HierarchyConfig is comparable, so the zero-config
+// case is a single == against cache.DefaultHierarchyConfig.
 func TestHierarchyConfigMapping(t *testing.T) {
 	if got, want := (Config{}).HierarchyConfig(), cache.DefaultHierarchyConfig(); got != want {
 		t.Fatalf("zero Config must map to the paper defaults:\n got %+v\nwant %+v", got, want)
@@ -35,8 +36,6 @@ func TestHierarchyConfigMapping(t *testing.T) {
 		ConstantTimeFlush: true,
 		RandomizedIndex:   0xABCD,
 		CoherenceCheck:    true,
-		NextLinePrefetch:  true,
-		DisableDirectory:  true,
 		Policy:            "random",
 		PolicySeed:        99,
 	}
@@ -52,8 +51,6 @@ func TestHierarchyConfigMapping(t *testing.T) {
 	want.ConstantTimeFlush = true
 	want.IndexRand = 0xABCD
 	want.CoherenceCheck = true
-	want.NextLinePrefetch = true
-	want.DisableDirectory = true
 	want.Policy = "random"
 	want.PolicySeed = 99
 	if got := full.HierarchyConfig(); got != want {

@@ -498,16 +498,14 @@ func TestRemoteWorkerEquivalence(t *testing.T) {
 }
 
 // TestLegRetryExhaustion: a leg whose executors fail retryably (worker
-// unreachable) is retried on the fake clock's backoff up to MaxLegAttempts,
-// then the job fails with the transport error.
+// unreachable) is retried on the fake clock's backoff up to maxLegAttempts
+// dispatches, then the job fails with the transport error.
 func TestLegRetryExhaustion(t *testing.T) {
 	fake := clock.NewFake(time.Time{})
 	_, ts := startServer(t, Config{
-		Workers:        0,
-		WorkerAddrs:    []string{"http://127.0.0.1:1"}, // nothing listens here
-		Clock:          fake,
-		MaxLegAttempts: 3,
-		RetryBackoff:   time.Second,
+		Workers:     0,
+		WorkerAddrs: []string{"http://127.0.0.1:1"}, // nothing listens here
+		Clock:       fake,
 	})
 	st, resp := submit(t, ts, smallSpec())
 	if resp.StatusCode != http.StatusAccepted {
@@ -523,7 +521,7 @@ func TestLegRetryExhaustion(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("job still %s; attempts=%d", final.State, final.Attempt)
 		}
-		fake.Advance(time.Second) // fire any pending retry backoff
+		fake.Advance(retryBackoff) // fire any pending retry backoff
 		time.Sleep(2 * time.Millisecond)
 	}
 	if final.State != StateFailed {
@@ -532,11 +530,11 @@ func TestLegRetryExhaustion(t *testing.T) {
 	if !strings.Contains(final.Error, "worker") {
 		t.Errorf("error = %q, want the transport failure", final.Error)
 	}
-	if final.Attempt != 2 {
-		t.Errorf("attempt = %d, want 2 (3 dispatches, 2 retries)", final.Attempt)
+	if final.Attempt != maxLegAttempts-1 {
+		t.Errorf("attempt = %d, want %d (%d dispatches, %[2]d retries)", final.Attempt, maxLegAttempts-1, maxLegAttempts)
 	}
-	if n := scrapeMetric(t, ts, "timecache_leg_retries_total"); n != 2 {
-		t.Errorf("leg_retries_total = %v, want 2", n)
+	if n := scrapeMetric(t, ts, "timecache_leg_retries_total"); n != maxLegAttempts-1 {
+		t.Errorf("leg_retries_total = %v, want %d", n, maxLegAttempts-1)
 	}
 }
 

@@ -89,9 +89,6 @@ type Config struct {
 	// DefaultTimeout bounds jobs that do not set Spec.TimeoutMS. Zero
 	// means unbounded.
 	DefaultTimeout time.Duration
-	// RetryAfter is the Retry-After hint (seconds) sent with 429 responses.
-	// Zero defaults to 1.
-	RetryAfter int
 	// Clock supplies all wall time: job timestamps, durations, deadline
 	// timers, trace span endpoints. Nil defaults to the real clock; tests
 	// inject *clock.Fake and step deadlines deterministically.
@@ -131,13 +128,6 @@ type Config struct {
 	// Zero disables leases (a leg runs as long as the job's deadline
 	// allows).
 	LeaseTimeout time.Duration
-	// MaxLegAttempts bounds how many times one leg may be dispatched when
-	// executors fail retryably (worker unreachable, 5xx). Zero defaults
-	// to 3. Deterministic simulation errors are never retried.
-	MaxLegAttempts int
-	// RetryBackoff is the delay before a retryable leg failure re-queues
-	// (on the injected clock). Zero defaults to 250ms.
-	RetryBackoff time.Duration
 
 	// QuotaBurst enables per-tenant admission quotas when positive: each
 	// tenant holds a token bucket of this capacity, refilled at QuotaRate
@@ -154,26 +144,17 @@ func (c Config) queueDepth() int {
 	return 64
 }
 
-func (c Config) retryAfter() int {
-	if c.RetryAfter > 0 {
-		return c.RetryAfter
-	}
-	return 1
-}
-
-func (c Config) maxLegAttempts() int {
-	if c.MaxLegAttempts > 0 {
-		return c.MaxLegAttempts
-	}
-	return 3
-}
-
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff > 0 {
-		return c.RetryBackoff
-	}
-	return 250 * time.Millisecond
-}
+const (
+	// retryAfterSeconds is the Retry-After hint sent with 429 responses.
+	retryAfterSeconds = 1
+	// maxLegAttempts bounds how many times one leg may be dispatched when
+	// executors fail retryably (worker unreachable, 5xx). Deterministic
+	// simulation errors are never retried.
+	maxLegAttempts = 3
+	// retryBackoff is the delay before a retryable leg failure re-queues
+	// (on the injected clock).
+	retryBackoff = 250 * time.Millisecond
+)
 
 // jobTimeout is the deadline of a job running spec (zero: unbounded).
 func (c Config) jobTimeout(spec Spec) time.Duration {
@@ -508,17 +489,16 @@ func (s *Server) legError(j *job, leg int, epoch uint64, err error) {
 		s.finalize(j, context.Cause(j.ctx))
 		return
 	}
-	if isRetryable(err) && !s.draining.Load() && int(l.epoch)+1 < s.cfg.maxLegAttempts() {
+	if isRetryable(err) && !s.draining.Load() && int(l.epoch)+1 < maxLegAttempts {
 		l.epoch++
 		l.status = legPending
 		j.attempt++
 		attempt := j.attempt
 		j.mu.Unlock()
 		s.metrics.legRetries.Add(1)
-		backoff := s.cfg.retryBackoff()
 		j.log.Warn("leg failed on retryable error; backing off",
-			"leg", leg, "attempt", attempt, "backoff", backoff, "error", err)
-		s.clk.AfterFunc(backoff, func() {
+			"leg", leg, "attempt", attempt, "backoff", retryBackoff, "error", err)
+		s.clk.AfterFunc(retryBackoff, func() {
 			if s.draining.Load() {
 				// Executors may already be unwinding; a re-queued leg could
 				// strand the job non-terminal. Fail it explicitly instead.
@@ -840,8 +820,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("leader job %s rejected: queue full", id))
 		}
 		s.metrics.jobsRejected.Add(1)
-		j.log.Warn("job rejected: queue full", "queue_depth", queueLen, "retry_after_s", s.cfg.retryAfter())
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfter()))
+		j.log.Warn("job rejected: queue full", "queue_depth", queueLen, "retry_after_s", retryAfterSeconds)
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Errorf("admission queue full (%d queued); retry later", queueLen))
 		return

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -276,7 +277,7 @@ func TestSubmitRejectsSweepPoints(t *testing.T) {
 // the queue, QueueDepth jobs are accepted and the next is rejected with
 // 429 + Retry-After, without losing the accepted ones.
 func TestBackpressure(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 0, QueueDepth: 2, RetryAfter: 7})
+	_, ts := startServer(t, Config{Workers: 0, QueueDepth: 2})
 	var accepted []string
 	for i := 0; i < 2; i++ {
 		st, resp := submit(t, ts, smallSpec())
@@ -289,8 +290,8 @@ func TestBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: got %s, want 429", resp.Status)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Errorf("Retry-After = %q, want 7", ra)
+	if ra, want := resp.Header.Get("Retry-After"), strconv.Itoa(retryAfterSeconds); ra != want {
+		t.Errorf("Retry-After = %q, want %s", ra, want)
 	}
 	for _, id := range accepted {
 		if st := getStatus(t, ts, id); st.State != StateQueued {

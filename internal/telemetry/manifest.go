@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"time"
 
 	"timecache/internal/clock"
@@ -10,7 +11,10 @@ import (
 )
 
 // MachineInfo records the simulated machine configuration in a manifest.
+// Defense is the registry kind (internal/defense) the machine was built
+// with; Mode is the structural cache security mode that kind resolves to.
 type MachineInfo struct {
+	Defense        string `json:"defense"`
 	Mode           string `json:"mode"`
 	Cores          int    `json:"cores"`
 	ThreadsPerCore int    `json:"threads_per_core"`
@@ -59,6 +63,7 @@ type Counters struct {
 
 // Manifest is the JSON sidecar describing one simulator run: what ran, on
 // what machine, what it counted, and how long it took on the wall clock.
+// Tool is the name of the command that produced it.
 type Manifest struct {
 	Tool        string         `json:"tool"`
 	CreatedAt   time.Time      `json:"created_at"`
@@ -70,14 +75,16 @@ type Manifest struct {
 	Meta        map[string]any `json:"meta,omitempty"`
 }
 
-// buildManifest snapshots a kernel into a Manifest.
-func buildManifest(k *kernel.Kernel) Manifest {
+// buildManifest snapshots a kernel built under the defense kind into a
+// Manifest.
+func buildManifest(k *kernel.Kernel, defense string) Manifest {
 	h := k.Hierarchy()
 	hcfg := h.Config()
 	m := Manifest{
-		Tool:      "timecache-sim",
+		Tool:      filepath.Base(os.Args[0]),
 		CreatedAt: clock.Real{}.Now().UTC(),
 		Machine: MachineInfo{
+			Defense:        defense,
 			Mode:           hcfg.Mode.String(),
 			Cores:          hcfg.Cores,
 			ThreadsPerCore: hcfg.ThreadsPerCore,

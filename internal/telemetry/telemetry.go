@@ -76,6 +76,7 @@ func (c Config) enabled() bool {
 type Collector struct {
 	cfg     Config
 	k       *kernel.Kernel
+	defense string
 	sampler *Sampler
 	hist    LatencyHistograms
 	trace   *TraceBuilder
@@ -99,9 +100,11 @@ func New(cfg Config) *Collector {
 }
 
 // Attach installs the collector's hooks on the machine and starts the wall
-// clock. A collector observes exactly one machine.
-func (c *Collector) Attach(k *kernel.Kernel) *Collector {
-	c.k = k
+// clock; defense is the machine's registry kind, recorded in the manifest.
+// A collector observes exactly one machine. machine.Machine.AttachTelemetry
+// is the attach point, so the kind always matches the machine.
+func (c *Collector) Attach(k *kernel.Kernel, defense string) *Collector {
+	c.k, c.defense = k, defense
 	c.sampler = NewSampler(k, c.cfg.SampleEvery)
 	k.SetProbe(c)
 	k.Hierarchy().SetObserver(c)
@@ -175,7 +178,7 @@ func (c *Collector) Trace() *TraceBuilder { return c.trace }
 
 // Manifest builds the run manifest from the machine's current counters.
 func (c *Collector) Manifest() Manifest {
-	m := buildManifest(c.k)
+	m := buildManifest(c.k, c.defense)
 	m.WallSeconds = clock.Real{}.Now().Sub(c.started).Seconds()
 	m.Samples = len(c.sampler.Samples())
 	m.TraceEvents = c.trace.Len()

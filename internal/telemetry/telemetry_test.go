@@ -107,7 +107,7 @@ func buildMachine(t *testing.T, mode cache.SecMode, instrs uint64) *kernel.Kerne
 func TestSamplerWindows(t *testing.T) {
 	const instrs, every = 20_000, 1_000
 	k := buildMachine(t, cache.SecTimeCache, instrs)
-	col := New(Config{SampleEvery: every}).Attach(k)
+	col := New(Config{SampleEvery: every}).Attach(k, "timecache")
 	k.Run(1 << 62)
 	if !k.AllExited() {
 		t.Fatal("did not finish")
@@ -150,7 +150,7 @@ func TestSamplerWindows(t *testing.T) {
 
 func TestSamplerPerProcessIPC(t *testing.T) {
 	k := buildMachine(t, cache.SecOff, 10_000)
-	col := New(Config{SampleEvery: 4_000}).Attach(k)
+	col := New(Config{SampleEvery: 4_000}).Attach(k, "none")
 	k.Run(1 << 62)
 	col.Sampler().Flush()
 	samples := col.Sampler().Samples()
@@ -176,7 +176,7 @@ func TestSamplerPerProcessIPC(t *testing.T) {
 
 func TestTraceJSONValidity(t *testing.T) {
 	k := buildMachine(t, cache.SecTimeCache, 20_000)
-	col := New(Config{}).Attach(k)
+	col := New(Config{}).Attach(k, "timecache")
 	k.Run(1 << 62)
 
 	b, err := col.Trace().JSON(nil)
@@ -216,7 +216,7 @@ func TestTraceJSONValidity(t *testing.T) {
 
 	// Baseline mode must emit no bookkeeping sub-spans.
 	k2 := buildMachine(t, cache.SecOff, 20_000)
-	col2 := New(Config{}).Attach(k2)
+	col2 := New(Config{}).Attach(k2, "none")
 	k2.Run(1 << 62)
 	for _, e := range col2.Trace().Events() {
 		if e.Cat == "timecache" {
@@ -235,7 +235,7 @@ func TestCollectorFinishWritesOutputs(t *testing.T) {
 		ManifestJSON: filepath.Join(dir, "run.json"),
 	}
 	k := buildMachine(t, cache.SecTimeCache, 20_000)
-	col := New(cfg).Attach(k)
+	col := New(cfg).Attach(k, "timecache")
 	col.SetMeta("seed", 1001)
 	k.Run(1 << 62)
 	if err := col.Finish(); err != nil {
@@ -283,7 +283,7 @@ func TestCollectorFinishWritesOutputs(t *testing.T) {
 	if err := json.Unmarshal(rb, &m); err != nil {
 		t.Fatalf("manifest invalid: %v", err)
 	}
-	if m.Machine.Mode != "timecache" || m.Counters.MaxCycle == 0 || len(m.Counters.Caches) != 3 {
+	if m.Machine.Defense != "timecache" || m.Machine.Mode != "timecache" || m.Counters.MaxCycle == 0 || len(m.Counters.Caches) != 3 {
 		t.Fatalf("manifest content wrong: %+v", m)
 	}
 	if len(m.Counters.Processes) != 2 || m.Counters.Processes[0].Instructions == 0 {
@@ -294,6 +294,17 @@ func TestCollectorFinishWritesOutputs(t *testing.T) {
 	}
 	if m.Samples == 0 || m.TraceEvents == 0 {
 		t.Errorf("manifest telemetry counts: %d samples, %d events", m.Samples, m.TraceEvents)
+	}
+}
+
+// TestManifestTool pins the manifest's tool field to the running command,
+// whichever one attached the collector.
+func TestManifestTool(t *testing.T) {
+	k := buildMachine(t, cache.SecOff, 2_000)
+	col := New(Config{}).Attach(k, "none")
+	k.Run(1 << 62)
+	if got, want := col.Manifest().Tool, filepath.Base(os.Args[0]); got != want {
+		t.Fatalf("manifest tool = %q, want the running command %q", got, want)
 	}
 }
 
@@ -316,7 +327,7 @@ func TestConfigWithSuffix(t *testing.T) {
 
 func TestTraceAccessesInstantEvents(t *testing.T) {
 	k := buildMachine(t, cache.SecOff, 2_000)
-	col := New(Config{TraceAccesses: true}).Attach(k)
+	col := New(Config{TraceAccesses: true}).Attach(k, "none")
 	k.Run(1 << 62)
 	instants := 0
 	for _, e := range col.Trace().Events() {
@@ -331,7 +342,7 @@ func TestTraceAccessesInstantEvents(t *testing.T) {
 
 func TestDetachStopsCollection(t *testing.T) {
 	k := buildMachine(t, cache.SecOff, 5_000)
-	col := New(Config{SampleEvery: 1_000}).Attach(k)
+	col := New(Config{SampleEvery: 1_000}).Attach(k, "none")
 	col.Detach()
 	k.Run(1 << 62)
 	col.Sampler().Flush()

@@ -1,63 +1,89 @@
 package timecache
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
-	"timecache/internal/cache"
+	"timecache/internal/asm"
+	"timecache/internal/attack"
+	"timecache/internal/defense"
 	"timecache/internal/harness"
+	"timecache/internal/kernel"
 	"timecache/internal/machine"
+	"timecache/internal/vm"
 	"timecache/internal/workload"
 )
 
-func TestNewDefaults(t *testing.T) {
-	s, err := New(Config{Mode: TimeCache})
+// newKernel assembles a machine under the registry kind and returns its
+// kernel (the run entry point).
+func newKernel(cfg machine.Config) *kernel.Kernel { return machine.New(cfg).Kernel() }
+
+// loadAsm assembles μRISC source and loads it as a process.
+func loadAsm(k *kernel.Kernel, src string, opts kernel.LoadOptions) (*kernel.Process, *vm.CPU, error) {
+	prog, err := asm.Assemble(src)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	st := s.Stats()
-	if len(st.Caches) != 3 { // l1i0, l1d0, llc
-		t.Fatalf("expected 3 caches, got %d", len(st.Caches))
+	return k.Load(prog, opts)
+}
+
+// spawnSpec starts one instance of the named SPEC2006 workload model.
+func spawnSpec(k *kernel.Kernel, name string, core int, instrs, seed uint64) (*kernel.Process, error) {
+	prof, err := workload.Spec(name)
+	if err != nil {
+		return nil, err
+	}
+	p, _, err := workload.Spawn(k, prof, workload.SpawnOptions{Core: core, Instrs: instrs, Seed: seed})
+	return p, err
+}
+
+// firstAccesses sums the delayed first accesses over every cache.
+func firstAccesses(k *kernel.Kernel) (n uint64) {
+	for _, c := range k.Hierarchy().Caches() {
+		n += c.Stats.FirstAccess
+	}
+	return n
+}
+
+func TestNewDefaults(t *testing.T) {
+	m := machine.New(machine.Config{Defense: defense.TimeCache})
+	if n := len(m.Hierarchy().Caches()); n != 3 { // l1i0, l1d0, llc
+		t.Fatalf("expected 3 caches, got %d", n)
 	}
 }
 
 func TestLoadAsmAndRun(t *testing.T) {
-	s, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := s.LoadAsm(`
+	k := newKernel(machine.Config{})
+	p, cpu, err := loadAsm(k, `
 		movi r1, 6
 		movi r2, 7
 		mul  r1, r1, r2
 		sys  4        ; print r1
 		sys  0        ; exit r1
-	`, LoadOptions{Name: "six-by-seven"})
+	`, kernel.LoadOptions{Name: "six-by-seven"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(1_000_000)
-	if !p.Exited() {
+	k.Run(1_000_000)
+	if p.State != kernel.Exited {
 		t.Fatal("program did not exit")
 	}
-	if p.Err() != nil {
-		t.Fatal(p.Err())
+	if p.Err != nil || cpu.Fault != nil {
+		t.Fatal(p.Err, cpu.Fault)
 	}
-	if p.ExitCode() != 42 {
-		t.Fatalf("exit code %d, want 42", p.ExitCode())
+	if p.ExitCode != 42 {
+		t.Fatalf("exit code %d, want 42", p.ExitCode)
 	}
-	if out := p.Output(); len(out) != 1 || out[0] != 42 {
+	if out := cpu.Output; len(out) != 1 || out[0] != 42 {
 		t.Fatalf("output %v, want [42]", out)
 	}
-	if p.Stats().Instructions == 0 {
+	if p.Stats.Instructions == 0 {
 		t.Fatal("no instructions accounted")
 	}
 }
 
 func TestAsmErrorSurface(t *testing.T) {
-	s, _ := New(Config{})
-	if _, err := s.LoadAsm("bogus r1", LoadOptions{}); err == nil {
+	k := newKernel(machine.Config{})
+	if _, _, err := loadAsm(k, "bogus r1", kernel.LoadOptions{}); err == nil {
 		t.Fatal("assembler errors must surface")
 	}
 }
@@ -73,81 +99,53 @@ func TestSharedTextFirstAccess(t *testing.T) {
 		blt  r1, r2, loop
 		halt
 	`
-	for _, mode := range []Mode{Baseline, TimeCache} {
-		s, err := New(Config{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, kind := range []string{defense.None, defense.TimeCache} {
+		k := newKernel(machine.Config{Defense: kind})
 		for i := 0; i < 2; i++ {
-			if _, err := s.LoadAsm(src, LoadOptions{ShareKey: "loop"}); err != nil {
+			if _, _, err := loadAsm(k, src, kernel.LoadOptions{ShareKey: "loop"}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s.Run(100_000_000)
-		if !s.AllExited() {
+		k.Run(100_000_000)
+		if !k.AllExited() {
 			t.Fatal("did not finish")
 		}
-		var fa uint64
-		for _, c := range s.Stats().Caches {
-			fa += c.FirstAccess
-		}
-		if mode == Baseline && fa != 0 {
+		fa := firstAccesses(k)
+		if kind == defense.None && fa != 0 {
 			t.Fatalf("baseline recorded %d first accesses", fa)
 		}
-		if mode == TimeCache && fa == 0 {
+		if kind == defense.TimeCache && fa == 0 {
 			t.Fatal("TimeCache recorded no first accesses for shared text")
 		}
-		if mode == TimeCache && s.Stats().BookkeepingCycles == 0 {
+		if kind == defense.TimeCache && k.Stats.BookkeepingCycles == 0 {
 			t.Fatal("TimeCache bookkeeping not charged")
 		}
 	}
 }
 
 func TestSpawnSpecWorkload(t *testing.T) {
-	s, err := New(Config{Mode: TimeCache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SpawnSpec("nonexistent", 0, 1000, 1); err == nil {
+	k := newKernel(machine.Config{Defense: defense.TimeCache})
+	if _, err := spawnSpec(k, "nonexistent", 0, 1000, 1); err == nil {
 		t.Fatal("unknown workload must error")
 	}
-	p, err := s.SpawnSpec("namd", 0, 20_000, 1)
+	p, err := spawnSpec(k, "namd", 0, 20_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(1 << 62)
-	if !p.Exited() {
+	k.Run(1 << 62)
+	if p.State != kernel.Exited {
 		t.Fatal("workload did not finish")
 	}
-	if got := p.Stats().Instructions; got != 20_000 {
+	if got := p.Stats.Instructions; got != 20_000 {
 		t.Fatalf("instructions = %d, want 20000", got)
 	}
 }
 
-func TestSpawnParsecNeedsTwoCores(t *testing.T) {
-	s, _ := New(Config{Cores: 1})
-	if _, err := s.SpawnParsecPair("x264", 1000); err == nil {
-		t.Fatal("1-core PARSEC pair must error")
-	}
-	s2, _ := New(Config{Cores: 2})
-	ps, err := s2.SpawnParsecPair("x264", 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 2 {
-		t.Fatalf("want 2 threads, got %d", len(ps))
-	}
-	s2.Run(1 << 62)
-	if !s2.AllExited() {
-		t.Fatal("threads did not finish")
-	}
-}
-
 func TestWorkloadLists(t *testing.T) {
-	if len(SpecWorkloads()) < 15 {
+	if len(workload.SpecNames()) < 15 {
 		t.Fatal("SPEC list too short")
 	}
-	if len(ParsecWorkloads()) != 6 {
+	if len(workload.ParsecNames()) != 6 {
 		t.Fatal("PARSEC list should have 6 entries")
 	}
 	if len(workload.SpecPairs()) != 24 {
@@ -155,114 +153,12 @@ func TestWorkloadLists(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if Baseline.String() != "baseline" || TimeCache.String() != "timecache" || FTM.String() != "ftm" {
-		t.Fatal("mode names wrong")
-	}
-	if !strings.HasPrefix(Mode(9).String(), "Mode(") {
-		t.Fatal("unknown mode formatting")
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for _, m := range []Mode{Baseline, TimeCache, FTM} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
-		}
-	}
-	for _, name := range []string{"", "bogus", "TimeCache", "none", "Mode(9)"} {
-		if m, err := ParseMode(name); err == nil {
-			t.Errorf("ParseMode(%q) = %v, want an error", name, m)
-		}
-	}
-}
-
-// TestModeMachineConfig pins the one place the public Mode meets the
-// machine: machineConfig selects the defense by registry kind and never
-// sets the structural Mode, and a System built that way runs a workload
-// counter for counter like a machine built from the structural Mode of the
-// same name. The workload shares text across two cores, so both defenses
-// record first accesses and a wrong mapping shows in the counters.
-func TestModeMachineConfig(t *testing.T) {
-	const loop = `
-		movi r1, 0
-		movi r2, 5000
-	loop:
-		addi r1, r1, 1
-		blt  r1, r2, loop
-		halt
-	`
-	for _, tc := range []struct {
-		mode Mode
-		kind string
-		sec  cache.SecMode
-	}{
-		{Baseline, "none", cache.SecOff},
-		{TimeCache, "timecache", cache.SecTimeCache},
-		{FTM, "ftm", cache.SecFTM},
-	} {
-		t.Run(tc.mode.String(), func(t *testing.T) {
-			cfg := Config{Mode: tc.mode, Cores: 2}.withDefaults()
-			mcfg := cfg.machineConfig()
-			if mcfg.Defense != tc.kind || mcfg.Mode != 0 {
-				t.Fatalf("machineConfig: Defense %q, Mode %v; want Defense %q and a zero Mode", mcfg.Defense, mcfg.Mode, tc.kind)
-			}
-			sys, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy := mcfg
-			legacy.Defense, legacy.Mode = "", tc.sec
-			ref := &System{cfg: cfg, k: machine.New(legacy).Kernel()}
-			run := func(s *System) (Stats, []ProcessStats) {
-				var procs []*Process
-				for i, name := range []string{"lbm", "namd"} {
-					p, err := s.SpawnSpec(name, 0, 20_000, uint64(i+1))
-					if err != nil {
-						t.Fatal(err)
-					}
-					procs = append(procs, p)
-				}
-				for core := 0; core < 2; core++ {
-					p, err := s.LoadAsm(loop, LoadOptions{Core: core, ShareKey: "loop"})
-					if err != nil {
-						t.Fatal(err)
-					}
-					procs = append(procs, p)
-				}
-				s.Run(1 << 62)
-				if !s.AllExited() {
-					t.Fatal("workload did not finish")
-				}
-				var ps []ProcessStats
-				for _, p := range procs {
-					ps = append(ps, p.Stats())
-				}
-				return s.Stats(), ps
-			}
-			got, gotProcs := run(sys)
-			want, wantProcs := run(ref)
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotProcs, wantProcs) {
-				t.Errorf("registry kind diverged from the structural mode:\n got %+v %+v\nwant %+v %+v", got, gotProcs, want, wantProcs)
-			}
-			var fa uint64
-			for _, c := range got.Caches {
-				fa += c.FirstAccess
-			}
-			if (fa == 0) != (tc.mode == Baseline) {
-				t.Errorf("%d first accesses under %v: the workload does not tell the defenses apart", fa, tc.mode)
-			}
-		})
-	}
-}
-
 func TestPublicMicrobenchmark(t *testing.T) {
-	base, err := RunMicrobenchmark(Baseline)
+	base, err := attack.RunMicrobenchmark(machine.Config{Defense: defense.None})
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := RunMicrobenchmark(TimeCache)
+	def, err := attack.RunMicrobenchmark(machine.Config{Defense: defense.TimeCache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,21 +168,21 @@ func TestPublicMicrobenchmark(t *testing.T) {
 }
 
 func TestPublicRSAAttack(t *testing.T) {
-	base, err := RunRSAAttack(Baseline, 32, 5)
+	base, err := attack.RunRSA(machine.Config{Defense: defense.None}, 32, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Accuracy < 0.9 || !base.VictimCorrect {
 		t.Fatalf("baseline attack should succeed: %+v", base)
 	}
-	def, err := RunRSAAttack(TimeCache, 32, 5)
+	def, err := attack.RunRSA(machine.Config{Defense: defense.TimeCache}, 32, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if def.Hits != 0 || !def.VictimCorrect {
 		t.Fatalf("defended attack should observe nothing: %+v", def)
 	}
-	if len(def.KeyBits) != 32 || len(def.RecoveredBits) != 32 {
+	if len(def.Key.String()) != 32 || len(def.Recovered.String()) != 32 {
 		t.Fatal("bit strings malformed")
 	}
 }
@@ -322,23 +218,20 @@ func TestComputeSbitCosts(t *testing.T) {
 }
 
 func TestDedupAPI(t *testing.T) {
-	s, err := New(Config{Mode: TimeCache})
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := newKernel(machine.Config{Defense: defense.TimeCache})
 	// Two private copies of the same program (no share key): dedup should
 	// merge their identical text pages.
 	src := "movi r1, 1\nhalt"
-	if _, err := s.LoadAsm(src, LoadOptions{Name: "a"}); err != nil {
+	if _, _, err := loadAsm(k, src, kernel.LoadOptions{Name: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadAsm(src, LoadOptions{Name: "b"}); err != nil {
+	if _, _, err := loadAsm(k, src, kernel.LoadOptions{Name: "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if merged := s.DedupScan(); merged == 0 {
+	if merged := k.DedupScan(); merged == 0 {
 		t.Fatal("identical private text pages should merge")
 	}
-	if s.Stats().DedupMergedPages == 0 {
+	if k.Stats.DedupMerged == 0 {
 		t.Fatal("dedup stat not recorded")
 	}
 }
